@@ -15,9 +15,6 @@ from scipy.spatial import cKDTree
 
 from .errors import DataFormatError
 
-SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
-
-
 def as_rng(seed) -> np.random.Generator:
     """Coerce an int seed, SeedSequence, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
@@ -70,8 +67,9 @@ def normalize_unit_cube(points: np.ndarray) -> np.ndarray:
 
     The cloud is translated so the bounding-box center sits at the origin and
     scaled uniformly so the largest bounding-box extent equals 1; the aspect
-    ratio is preserved and all coordinates end up in [-0.5, 0.5]. A degenerate
-    cloud (all points identical) is only centered.
+    ratio is preserved and all coordinates end up in [-0.5, 0.5]; the result
+    is clamped to that cube because rounding can land one ulp outside it. A
+    degenerate cloud (all points identical) is only centered.
     """
     pts = check_cloud(points)
     lo = pts.min(axis=0)
@@ -80,7 +78,7 @@ def normalize_unit_cube(points: np.ndarray) -> np.ndarray:
     extent = float((hi - lo).max())
     if extent == 0.0:
         return pts - center
-    return (pts - center) / extent
+    return np.clip((pts - center) / extent, -0.5, 0.5)
 
 
 def farthest_point_sample(points: np.ndarray, m: int, seed=None) -> np.ndarray:

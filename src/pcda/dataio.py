@@ -273,8 +273,9 @@ def load_archive(path) -> Dataset:
 # -- tensor container ------------------------------------------------------
 
 
-def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
-    """Write named arrays plus a JSON metadata blob, byte-deterministically.
+def save_tensors(path, tensors: dict, meta: dict | None = None) -> bytes:
+    """Write named arrays plus a JSON metadata blob, byte-deterministically,
+    and return the bytes written.
 
     Tensors are stored sorted by name in C order with explicit dtypes, so
     the file bytes are a pure function of the contents.
@@ -297,7 +298,9 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
         parts.append(struct.pack("<H", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}q", *arr.shape))
         parts.append(arr.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    data = b"".join(parts)
+    atomic_write_bytes(path, data)
+    return data
 
 
 def load_tensors(path):

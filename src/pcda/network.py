@@ -31,6 +31,9 @@ GLOBAL_DIM = ENCODER_WIDTHS[-1]
 POINT_FEAT_DIM = ENCODER_WIDTHS[3]
 HEAD_IN_DIM = GLOBAL_DIM + POINT_FEAT_DIM
 DROPOUT_RATE = 0.5
+_HIDDEN = {"sup": SUP_HIDDEN, "rec": HEAD_HIDDEN, "seg": HEAD_HIDDEN}
+HEAD_OUTPUTS = {"sup": "logits", "rec": "recon", "seg": "seg_logits"}
+_DROPOUT_HEADS = ("sup", "seg")  # train-mode dropout on their first two hidden layers
 
 
 def _glorot(rng, fan_in, fan_out, dtype):
@@ -61,24 +64,13 @@ def init_params(
         params[f"enc{i}_b"] = np.zeros(width, dtype=dtype)
         d_in = width
 
-    if task == "classification":
-        d_in = GLOBAL_DIM
-        for i, width in enumerate((*SUP_HIDDEN, num_classes), start=1):
-            params[f"sup{i}_w"] = _glorot(rng, d_in, width, dtype)
-            params[f"sup{i}_b"] = np.zeros(width, dtype=dtype)
+    for head in ("sup" if task == "classification" else "seg", "rec"):
+        d_in = GLOBAL_DIM if head == "sup" else HEAD_IN_DIM
+        out = 3 if head == "rec" else num_classes
+        for i, width in enumerate((*_HIDDEN[head], out), start=1):
+            params[f"{head}{i}_w"] = _glorot(rng, d_in, width, dtype)
+            params[f"{head}{i}_b"] = np.zeros(width, dtype=dtype)
             d_in = width
-    else:
-        d_in = HEAD_IN_DIM
-        for i, width in enumerate((*HEAD_HIDDEN, num_classes), start=1):
-            params[f"seg{i}_w"] = _glorot(rng, d_in, width, dtype)
-            params[f"seg{i}_b"] = np.zeros(width, dtype=dtype)
-            d_in = width
-
-    d_in = HEAD_IN_DIM
-    for i, width in enumerate((*HEAD_HIDDEN, 3), start=1):
-        params[f"rec{i}_w"] = _glorot(rng, d_in, width, dtype)
-        params[f"rec{i}_b"] = np.zeros(width, dtype=dtype)
-        d_in = width
     return params
 
 
@@ -102,6 +94,25 @@ def _as_batch(clouds, dtype):
 def _dropout_mask(rng, shape, dtype):
     keep = 1.0 - DROPOUT_RATE
     return (rng.uniform(size=shape) < keep).astype(dtype) / dtype.type(keep)
+
+
+def _encode(params, x, layers: int) -> list:
+    """Per-point activations of the first `layers` encoder layers for (rows, 3) points."""
+    acts = []
+    for i in range(1, layers + 1):
+        x = x @ params[f"enc{i}_w"] + params[f"enc{i}_b"]
+        np.maximum(x, 0.0, out=x)
+        acts.append(x)
+    return acts
+
+
+def point_features(params: dict, clouds, layer: int) -> np.ndarray:
+    """Eval-mode activations of encoder layer `layer` (1-5) for (B, n, 3)
+    clouds, as float64 (B, n, width); the layers above it are not run."""
+    batch, _ = _as_batch(clouds, param_dtype(params))
+    B, n, _ = batch.shape
+    acts = _encode(params, batch.reshape(B * n, 3), layer)
+    return np.asarray(acts[-1].reshape(B, n, -1), dtype=np.float64)
 
 
 def forward_pass(
@@ -128,12 +139,7 @@ def forward_pass(
     drop_rng = as_rng(dropout_seed) if mode == "train" else None
 
     x = batch.reshape(B * n, 3)
-    acts = []
-    h = x
-    for i in range(1, len(ENCODER_WIDTHS) + 1):
-        h = h @ params[f"enc{i}_w"] + params[f"enc{i}_b"]
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
+    acts = _encode(params, x, len(ENCODER_WIDTHS))
     a5 = acts[-1].reshape(B, n, GLOBAL_DIM)
     argmax = a5.argmax(axis=1)  # first (lowest) row index on ties
     g = np.take_along_axis(a5, argmax[:, None, :], axis=1)[:, 0, :]
@@ -155,129 +161,70 @@ def forward_pass(
     }
 
     for head in heads:
-        if head == "sup":
-            logits, cache = _sup_forward(params, g, mode, drop_rng)
-            outputs["logits"] = logits[0] if single else logits
-            trace["sup"] = cache
-        elif head == "rec":
-            recon, cache = _pp_head_forward(
-                params, "rec", g, acts[3], B, n, drop_rng=None
-            )
-            out = recon.reshape(B, n, 3)
-            outputs["recon"] = out[0] if single else out
-            trace["rec"] = cache
-        elif head == "seg":
-            seg, cache = _pp_head_forward(
-                params, "seg", g, acts[3], B, n, drop_rng=drop_rng
-            )
-            width = params["seg4_w"].shape[1]
-            out = seg.reshape(B, n, width)
-            outputs["seg_logits"] = out[0] if single else out
-            trace["seg"] = cache
-        else:
+        if head not in HEAD_OUTPUTS:
             raise DataFormatError(f"unknown head {head!r}")
+        out, trace[head] = _head_forward(
+            params, head, g, acts[3], B, n, drop_rng if head in _DROPOUT_HEADS else None
+        )
+        if head != "sup":
+            out = out.reshape(B, n, -1)
+        outputs[HEAD_OUTPUTS[head]] = out[0] if single else out
     return outputs, trace
 
 
-def _sup_forward(params, g, mode, drop_rng):
-    dtype = g.dtype
-    m1 = m2 = None
-    u1 = g @ params["sup1_w"] + params["sup1_b"]
-    np.maximum(u1, 0.0, out=u1)
-    d1 = u1
-    if drop_rng is not None:
-        m1 = _dropout_mask(drop_rng, u1.shape, np.dtype(dtype))
-        d1 = u1 * m1
-    u2 = d1 @ params["sup2_w"] + params["sup2_b"]
-    np.maximum(u2, 0.0, out=u2)
-    d2 = u2
-    if drop_rng is not None:
-        m2 = _dropout_mask(drop_rng, u2.shape, np.dtype(dtype))
-        d2 = u2 * m2
-    logits = d2 @ params["sup3_w"] + params["sup3_b"]
-    if not np.isfinite(logits).all():
-        raise NumericalError("numerical overflow in classification head")
-    cache = {"in": g, "a1": u1, "d1": d1, "m1": m1, "a2": u2, "d2": d2, "m2": m2}
-    return logits, cache
+def _head_forward(params, head, g, a4, B, n, drop_rng):
+    """One head's output and its cached activations.
 
-
-def _sup_backward(params, cache, dlogits, grads):
-    grads["sup3_w"] += cache["d2"].T @ dlogits
-    grads["sup3_b"] += dlogits.sum(axis=0)
-    dd2 = dlogits @ params["sup3_w"].T
-    if cache["m2"] is not None:
-        dd2 = dd2 * cache["m2"]
-    dd2 *= cache["a2"] > 0
-    grads["sup2_w"] += cache["d1"].T @ dd2
-    grads["sup2_b"] += dd2.sum(axis=0)
-    dd1 = dd2 @ params["sup2_w"].T
-    if cache["m1"] is not None:
-        dd1 = dd1 * cache["m1"]
-    dd1 *= cache["a1"] > 0
-    grads["sup1_w"] += cache["in"].T @ dd1
-    grads["sup1_b"] += dd1.sum(axis=0)
-    return dd1 @ params["sup1_w"].T
-
-
-def _pp_head_forward(params, prefix, g, a4, B, n, drop_rng):
-    """Per-point head over concat(global, per-point features).
-
-    The first layer's weight is stored as one (1280, d) matrix; the global
-    slice is applied once per sample and broadcast over points instead of
-    materializing the concatenation.
+    `sup` reads the global feature; the per-point heads read
+    concat(global, per-point features), with the first layer's weight stored
+    as one (1280, d) matrix whose global slice is applied once per sample and
+    broadcast over points instead of materializing the concatenation.
     """
-    w1 = params[f"{prefix}1_w"]
-    zg = g @ w1[:GLOBAL_DIM]  # (B, d1)
-    z = a4 @ w1[GLOBAL_DIM:]
-    z += params[f"{prefix}1_b"]
-    z3 = z.reshape(B, n, -1)
-    z3 += zg[:, None, :]
-    np.maximum(z, 0.0, out=z)
-    s1, m1 = z, None
-    if drop_rng is not None:
-        m1 = _dropout_mask(drop_rng, s1.shape, s1.dtype)
-        s1 = s1 * m1
-    h2 = s1 @ params[f"{prefix}2_w"] + params[f"{prefix}2_b"]
-    np.maximum(h2, 0.0, out=h2)
-    s2, m2 = h2, None
-    if drop_rng is not None:
-        m2 = _dropout_mask(drop_rng, s2.shape, s2.dtype)
-        s2 = s2 * m2
-    s3 = s2 @ params[f"{prefix}3_w"] + params[f"{prefix}3_b"]
-    np.maximum(s3, 0.0, out=s3)
-    out = s3 @ params[f"{prefix}4_w"] + params[f"{prefix}4_b"]
-    if not np.isfinite(out).all():
-        raise NumericalError(f"numerical overflow in {prefix} head")
-    cache = {"a1": z, "s1": s1, "m1": m1, "a2": h2, "s2": s2, "m2": m2, "s3": s3}
-    return out, cache
+    w1 = params[f"{head}1_w"]
+    if head == "sup":
+        z = g @ w1 + params["sup1_b"]
+    else:
+        zg = g @ w1[:GLOBAL_DIM]  # (B, d1)
+        z = a4 @ w1[GLOBAL_DIM:]
+        z += params[f"{head}1_b"]
+        z3 = z.reshape(B, n, -1)
+        z3 += zg[:, None, :]
+    cache = {}
+    for i in range(1, len(_HIDDEN[head]) + 1):
+        np.maximum(z, 0.0, out=z)
+        s, m = z, None
+        if drop_rng is not None and i <= 2:
+            m = _dropout_mask(drop_rng, z.shape, z.dtype)
+            s = z * m
+        cache[f"a{i}"], cache[f"s{i}"], cache[f"m{i}"] = z, s, m
+        z = s @ params[f"{head}{i + 1}_w"] + params[f"{head}{i + 1}_b"]
+    if not np.isfinite(z).all():
+        raise NumericalError(f"numerical overflow in {head} head")
+    return z, cache
 
 
-def _pp_head_backward(params, prefix, cache, dout, g, a4, B, n, grads):
-    grads[f"{prefix}4_w"] += cache["s3"].T @ dout
-    grads[f"{prefix}4_b"] += dout.sum(axis=0)
-    ds3 = dout @ params[f"{prefix}4_w"].T
-    ds3 *= cache["s3"] > 0
-    grads[f"{prefix}3_w"] += cache["s2"].T @ ds3
-    grads[f"{prefix}3_b"] += ds3.sum(axis=0)
-    ds2 = ds3 @ params[f"{prefix}3_w"].T
-    if cache["m2"] is not None:
-        ds2 = ds2 * cache["m2"]
-    ds2 *= cache["a2"] > 0
-    grads[f"{prefix}2_w"] += cache["s1"].T @ ds2
-    grads[f"{prefix}2_b"] += ds2.sum(axis=0)
-    ds1 = ds2 @ params[f"{prefix}2_w"].T
-    if cache["m1"] is not None:
-        ds1 = ds1 * cache["m1"]
-    ds1 *= cache["a1"] > 0
+def _head_backward(params, head, cache, dout, g, a4, B, n, grads):
+    """Accumulate one head's parameter gradients; returns the gradients at
+    the global feature and (per-point heads only) at the layer-4 features."""
+    d = dout
+    for i in range(len(_HIDDEN[head]), 0, -1):
+        grads[f"{head}{i + 1}_w"] += cache[f"s{i}"].T @ d
+        grads[f"{head}{i + 1}_b"] += d.sum(axis=0)
+        d = d @ params[f"{head}{i + 1}_w"].T
+        if cache[f"m{i}"] is not None:
+            d = d * cache[f"m{i}"]
+        d *= cache[f"a{i}"] > 0
+    w1 = params[f"{head}1_w"]
+    if head == "sup":
+        grads["sup1_w"] += g.T @ d
+        grads["sup1_b"] += d.sum(axis=0)
+        return d @ w1.T, None
     # first layer: split gradient between the global and per-point slices
-    w1 = params[f"{prefix}1_w"]
-    per_sample = ds1.reshape(B, n, -1).sum(axis=1)  # (B, d1)
-    grads[f"{prefix}1_w"][:GLOBAL_DIM] += g.T @ per_sample
-    grads[f"{prefix}1_w"][GLOBAL_DIM:] += a4.T @ ds1
-    grads[f"{prefix}1_b"] += ds1.sum(axis=0)
-    dg = per_sample @ w1[:GLOBAL_DIM].T
-    da4 = ds1 @ w1[GLOBAL_DIM:].T
-    return dg, da4
+    per_sample = d.reshape(B, n, -1).sum(axis=1)  # (B, d1)
+    grads[f"{head}1_w"][:GLOBAL_DIM] += g.T @ per_sample
+    grads[f"{head}1_w"][GLOBAL_DIM:] += a4.T @ d
+    grads[f"{head}1_b"] += d.sum(axis=0)
+    return per_sample @ w1[:GLOBAL_DIM].T, d @ w1[GLOBAL_DIM:].T
 
 
 def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=None) -> dict:
@@ -295,37 +242,22 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
     dg = np.zeros((B, GLOBAL_DIM), dtype=dtype)
     da4_extra = None
 
-    def batched(arr, width):
-        a = np.asarray(arr, dtype=dtype)
-        if single:
-            a = a[None]
-        return a.reshape(-1, width) if width else a
-
-    if dlogits is not None:
-        if "sup" not in trace:
-            raise DataFormatError("no sup head in trace")
-        d = np.asarray(dlogits, dtype=dtype)
+    for head, d in (("sup", dlogits), ("rec", drecon), ("seg", dseg_logits)):
+        if d is None:
+            continue
+        if head not in trace:
+            raise DataFormatError(f"no {head} head in trace")
+        d = np.asarray(d, dtype=dtype)
         if single:
             d = d[None]
-        dg += _sup_backward(params, trace["sup"], d, grads)
-    if drecon is not None:
-        if "rec" not in trace:
-            raise DataFormatError("no rec head in trace")
-        d = batched(drecon, 3)
-        dgh, da4 = _pp_head_backward(
-            params, "rec", trace["rec"], d, trace["global"], trace["acts"][3], B, n, grads
+        if head != "sup":
+            d = d.reshape(B * n, -1)
+        dgh, da4 = _head_backward(
+            params, head, trace[head], d, trace["global"], trace["acts"][3], B, n, grads
         )
         dg += dgh
-        da4_extra = da4 if da4_extra is None else da4_extra + da4
-    if dseg_logits is not None:
-        if "seg" not in trace:
-            raise DataFormatError("no seg head in trace")
-        d = batched(dseg_logits, params["seg4_w"].shape[1])
-        dgh, da4 = _pp_head_backward(
-            params, "seg", trace["seg"], d, trace["global"], trace["acts"][3], B, n, grads
-        )
-        dg += dgh
-        da4_extra = da4 if da4_extra is None else da4_extra + da4
+        if da4 is not None:
+            da4_extra = da4 if da4_extra is None else da4_extra + da4
 
     # max-pool: route the global-feature gradient to the argmax rows
     da5 = np.zeros((B, n, GLOBAL_DIM), dtype=dtype)
@@ -343,48 +275,6 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
             if i - 1 == 4 and da4_extra is not None:
                 dh += da4_extra
     return grads
-
-
-# -- convenience single-output surfaces ------------------------------------
-
-
-def encode(params: dict, clouds, mode: str = "eval"):
-    """Global feature, per-point features per encoder layer, and the trace."""
-    outputs, trace = forward_pass(params, clouds, mode=mode, heads=())
-    B, n, single = trace["B"], trace["n"], trace["single"]
-    per_layer = [a.reshape(B, n, -1) for a in trace["acts"]]
-    if single:
-        per_layer = [a[0] for a in per_layer]
-    return outputs["global"], per_layer, trace
-
-
-def head_sup(params: dict, global_feat, mode: str = "eval", dropout_seed=None):
-    """Class logits from a global feature; dropout active in train mode."""
-    g = np.asarray(global_feat, dtype=param_dtype(params))
-    single = g.ndim == 1
-    if single:
-        g = g[None]
-    drop_rng = as_rng(dropout_seed) if mode == "train" else None
-    logits, _ = _sup_forward(params, g, mode, drop_rng)
-    return logits[0] if single else logits
-
-
-def head_ssl(params: dict, global_feat, point_feats):
-    """Reconstructed cloud from a global feature plus per-point features."""
-    dtype = param_dtype(params)
-    g = np.asarray(global_feat, dtype=dtype)
-    pf = np.asarray(point_feats, dtype=dtype)
-    single = g.ndim == 1
-    if single:
-        g, pf = g[None], pf[None]
-    if pf.shape[-1] != POINT_FEAT_DIM:
-        raise DataFormatError(
-            f"per-point features must be {POINT_FEAT_DIM}-dimensional, got {pf.shape[-1]}"
-        )
-    B, n, _ = pf.shape
-    out, _ = _pp_head_forward(params, "rec", g, pf.reshape(B * n, -1), B, n, None)
-    recon = out.reshape(B, n, 3)
-    return recon[0] if single else recon
 
 
 # -- losses ----------------------------------------------------------------
@@ -437,6 +327,20 @@ def segmentation_loss_and_grads(
     return loss, grads
 
 
+def region_chamfer_and_grad(recon, originals, regions, weight: float = 1.0):
+    """Mean region-restricted Chamfer loss over a batch of reconstructions,
+    and its gradient w.r.t. `recon` (float64) scaled by `weight`."""
+    B = len(recon)
+    drecon = np.zeros_like(recon, dtype=np.float64)
+    total = 0.0
+    for b in range(B):
+        res = chamfer_loss_region(recon[b], originals[b], regions[b])
+        total += res.value
+        drecon[b] = res.grad_pred
+    drecon *= weight / B
+    return total / B, drecon
+
+
 def reconstruction_loss_and_grads(
     params, deformed, originals, regions, weight: float = 1.0
 ):
@@ -456,13 +360,6 @@ def reconstruction_loss_and_grads(
     B = len(recon)
     if len(originals) != B or len(regions) != B:
         raise DataFormatError("originals/regions batch size mismatch")
-    drecon = np.zeros_like(recon, dtype=np.float64)
-    total = 0.0
-    for b in range(B):
-        res = chamfer_loss_region(recon[b], originals[b], regions[b])
-        total += res.value
-        drecon[b] = res.grad_pred
-    loss = total / B
-    drecon *= weight / B
+    loss, drecon = region_chamfer_and_grad(recon, originals, regions, weight)
     grads = backward(params, trace, drecon=drecon[0] if single else drecon)
     return loss, grads

@@ -29,6 +29,7 @@ from .network import (
     backward,
     forward_pass,
     init_params,
+    region_chamfer_and_grad,
     softmax_cross_entropy,
 )
 from .training import cosine_lr
@@ -129,19 +130,9 @@ def composite_loss_and_grads(
         params, clouds, mode="train", heads=("sup", "rec"), dropout_seed=dropout_seed
     )
     ce, dlogits = softmax_cross_entropy(outputs["logits"], soft_labels)
-    recon = np.asarray(outputs["recon"])
-    B = len(recon)
-    drecon = np.zeros_like(recon, dtype=np.float64)
-    rec_total = 0.0
-    for b in range(B):
-        res = chamfer_loss_region(recon[b], targets[b], regions[b])
-        rec_total += res.value
-        drecon[b] = res.grad_pred
-    rec_loss = rec_total / B
-    drecon *= ssl_weight / B
-    loss = ce + ssl_weight * rec_loss
+    rec_loss, drecon = region_chamfer_and_grad(outputs["recon"], targets, regions, ssl_weight)
     grads = backward(params, trace, dlogits=dlogits, drecon=drecon)
-    return loss, grads
+    return ce + ssl_weight * rec_loss, grads
 
 
 def check_network_gradients(

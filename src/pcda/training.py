@@ -1,5 +1,6 @@
-"""Domain-adaptive training: supervised source half-steps alternate with
-self-supervised reconstruction half-steps on the unlabelled target domain.
+"""Domain-adaptive training: every step takes a supervised Adam update on a
+source batch, then self-supervised reconstruction updates on deformed clouds
+of the unlabelled target domain (and optionally of the source batch).
 
 Every random draw is derived from a seed sequence keyed by (run seed,
 stream, epoch, step, item), never from a shared mutable RNG, so a run is a
@@ -12,20 +13,23 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .cloud import LabeledCloud, SegLabeledCloud, as_rng, jitter, rotate_z
-from .dataio import Dataset, load_tensors, save_tensors
+from .cloud import as_rng, jitter, rotate_z
+from .dataio import Dataset, atomic_write_bytes, load_tensors, save_tensors
 from .deform import DeformSpec, apply_deformation, default_family_specs
 from .errors import DataFormatError, NumericalError
 from .evaluation import mean_iou
 from .mixup import mixup_classify, mixup_segment
 from .network import (
+    HEAD_OUTPUTS,
     classification_loss_and_grads,
     forward_pass,
     init_params,
+    point_features,
     reconstruction_loss_and_grads,
     segmentation_loss_and_grads,
     softmax_cross_entropy,
@@ -155,29 +159,23 @@ def uniform_split(n: int, val_fraction: float, seed):
 # -- batched inference -----------------------------------------------------
 
 
-def _batch_slices(n: int, batch_size: int):
-    for lo in range(0, n, batch_size):
-        yield slice(lo, min(lo + batch_size, n))
+def _eval_batches(params, points, batch_size, heads, key):
+    pts = np.asarray(points, dtype=np.float64)
+    return np.concatenate(
+        [
+            forward_pass(params, pts[lo : lo + batch_size], mode="eval", heads=heads)[0][key]
+            for lo in range(0, len(pts), batch_size)
+        ]
+    )
 
 
 def predict_logits(params: dict, points, batch_size: int = 32, head: str = "sup"):
-    pts = np.asarray(points, dtype=np.float64)
-    outs = []
-    key = "logits" if head == "sup" else "seg_logits"
-    for sl in _batch_slices(len(pts), batch_size):
-        outputs, _ = forward_pass(params, pts[sl], mode="eval", heads=(head,))
-        outs.append(np.atleast_2d(outputs[key]))
-    return np.concatenate(outs)
+    return _eval_batches(params, points, batch_size, (head,), HEAD_OUTPUTS[head])
 
 
 def extract_global_features(params: dict, points, batch_size: int = 32) -> np.ndarray:
     """Eval-mode global feature for each cloud, as float64 (N, 1024)."""
-    pts = np.asarray(points, dtype=np.float64)
-    feats = []
-    for sl in _batch_slices(len(pts), batch_size):
-        outputs, _ = forward_pass(params, pts[sl], mode="eval", heads=())
-        feats.append(np.asarray(outputs["global"], dtype=np.float64))
-    return np.concatenate(feats)
+    return _eval_batches(params, points, batch_size, (), "global").astype(np.float64)
 
 
 def evaluate_classification(params: dict, dataset: Dataset, batch_size: int = 32) -> dict:
@@ -218,7 +216,8 @@ def evaluate_segmentation(params: dict, dataset: Dataset, batch_size: int = 16) 
 # -- checkpoints -----------------------------------------------------------
 
 
-def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict):
+def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict) -> bytes:
+    """Write a checkpoint and return the bytes written."""
     tensors = {}
     for k, v in params.items():
         tensors[f"param/{k}"] = v
@@ -228,7 +227,7 @@ def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict):
         tensors[f"adam_m/{k}"] = v
     for k, v in adam.v.items():
         tensors[f"adam_v/{k}"] = v
-    save_tensors(path, tensors, {**meta, "adam_t": adam.t})
+    return save_tensors(path, tensors, {**meta, "adam_t": adam.t})
 
 
 def load_checkpoint(path):
@@ -282,85 +281,48 @@ def _feature_layer(spec: DeformSpec) -> int:
     return 0
 
 
-def _per_point_features(params, clouds, layer: int):
-    outputs, trace = forward_pass(params, clouds, mode="eval", heads=())
-    del outputs
-    B, n = trace["B"], trace["n"]
-    return np.asarray(trace["acts"][layer - 1].reshape(B, n, -1), dtype=np.float64)
-
-
-def _ssl_half_step(params, adam, clouds, cfg, epoch, step, tag, lr):
-    """Deform every cloud in the batch, reconstruct, and take one Adam step
-    on the weighted region Chamfer loss. Returns the unweighted loss."""
-    B = len(clouds)
+def _reconstruction_loss_and_grads(params, clouds, cfg, epoch, step, tag):
+    """Deform every cloud in the batch and reconstruct it: the unweighted
+    region Chamfer loss and ssl_weight-scaled gradients."""
     layer = _feature_layer(cfg.deform)
-    feats = _per_point_features(params, clouds, layer) if layer else None
-    deformed = np.empty_like(clouds)
-    regions = []
-    for j in range(B):
-        pair = apply_deformation(
-            clouds[j],
+    feats = point_features(params, clouds, layer) if layer else None
+    pairs = [
+        apply_deformation(
+            cloud,
             cfg.deform,
             seed=_seed(cfg.seed, STREAM_EPOCH, epoch, tag, step, j),
             features=None if feats is None else feats[j],
         )
-        deformed[j] = pair.deformed
-        regions.append(pair.region)
-    loss, grads = reconstruction_loss_and_grads(
-        params, deformed, clouds, regions, weight=cfg.ssl_weight
+        for j, cloud in enumerate(clouds)
+    ]
+    return reconstruction_loss_and_grads(
+        params,
+        np.stack([p.deformed for p in pairs]),
+        clouds,
+        [p.region for p in pairs],
+        weight=cfg.ssl_weight,
     )
-    if not np.isfinite(loss):
-        raise NumericalError("reconstruction loss diverged")
-    adam_step(params, grads, adam, lr, cfg)
-    return loss
 
 
-def _sup_half_step(params, adam, samples, cfg, num_classes, epoch, step, lr):
-    """One supervised half-step on a source batch, with optional mixup."""
-    B = len(samples)
-    clouds = np.stack([s.points for s in samples])
-    segmented = cfg.task == "segmentation"
-    dropout_seed = _seed(cfg.seed, STREAM_EPOCH, epoch, _DROP, step)
-    if cfg.use_mixup and B >= 2:
-        partner = np.roll(np.arange(B), -1)
-        mixed_pts = np.empty_like(clouds)
-        if segmented:
-            point_labels = np.empty((B, clouds.shape[1]), dtype=np.int64)
-        else:
-            soft = np.empty((B, num_classes))
-        for j in range(B):
-            seed = _seed(cfg.seed, STREAM_EPOCH, epoch, _MIX, step, j)
-            if segmented:
-                ms = mixup_segment(
-                    samples[j], samples[partner[j]],
-                    alpha=cfg.mixup_alpha, beta=cfg.mixup_beta, seed=seed,
-                )
-                point_labels[j] = ms.point_labels
-            else:
-                ms = mixup_classify(
-                    samples[j], samples[partner[j]], num_classes,
-                    alpha=cfg.mixup_alpha, beta=cfg.mixup_beta, seed=seed,
-                )
-                soft[j] = ms.soft_label
-            mixed_pts[j] = ms.points
+def _sup_batch(samples, cfg: TrainConfig, num_classes, epoch, step):
+    """Clouds and labels of one supervised batch: soft class labels or
+    per-point labels. With mixup each sample is mixed with its successor."""
+    if cfg.task == "segmentation":
+        mix, mixed_key = mixup_segment, "point_labels"
+        labels = [s.labels for s in samples]
     else:
-        mixed_pts = clouds
-        if segmented:
-            point_labels = np.stack([s.labels for s in samples])
-        else:
-            soft = np.eye(num_classes)[[s.label for s in samples]]
-    if segmented:
-        loss, grads = segmentation_loss_and_grads(
-            params, mixed_pts, point_labels, mode="train", dropout_seed=dropout_seed
-        )
-    else:
-        loss, grads = classification_loss_and_grads(
-            params, mixed_pts, soft, mode="train", dropout_seed=dropout_seed
-        )
-    if not np.isfinite(loss):
-        raise NumericalError("supervised loss diverged")
-    adam_step(params, grads, adam, lr, cfg)
-    return loss
+        mix, mixed_key = partial(mixup_classify, num_classes=num_classes), "soft_label"
+        labels = np.eye(num_classes)[[s.label for s in samples]]
+    if cfg.use_mixup and len(samples) >= 2:
+        mixed = [
+            mix(
+                a, b, alpha=cfg.mixup_alpha, beta=cfg.mixup_beta,
+                seed=_seed(cfg.seed, STREAM_EPOCH, epoch, _MIX, step, j),
+            )
+            for j, (a, b) in enumerate(zip(samples, samples[1:] + samples[:1]))
+        ]
+        return np.stack([m.points for m in mixed]), np.stack([getattr(m, mixed_key) for m in mixed])
+    return np.stack([s.points for s in samples]), np.stack(labels)
 
 
 def _dump_diagnostic(run_dir, params, epoch, step, phase, error):
@@ -387,7 +349,11 @@ def train(
 
     Domains are balanced by under-sampling: each epoch runs
     floor(min(source_train, target) / batch_size) steps when the
-    reconstruction task is active. Model selection is by source validation
+    reconstruction task is active. A step runs one step body per loss
+    (supervised; target reconstruction; source reconstruction with
+    deform_domains="source-and-target"): loss and gradients, a finiteness
+    check, and one Adam update at the cosine learning rate of the global
+    update count, so 1-3 updates per step. Model selection is by source validation
     accuracy (classification) or mean IoU (segmentation); ties keep the
     earlier epoch. `stop_after` caps the epochs run by this call (the
     config's own epoch count still fixes the schedule), simulating an
@@ -427,10 +393,13 @@ def train(
         steps_per_epoch = n_src // cfg.batch_size
     if steps_per_epoch < 1:
         raise DataFormatError("not enough samples for a single batch")
-    halves = 1 + (1 if use_ssl else 0) + (
-        1 if use_ssl and cfg.deform_domains == "source-and-target" else 0
-    )
-    total_adam_steps = cfg.epochs * steps_per_epoch * halves
+    # the Adam updates of one step, in order: (loss, deformation seed tag)
+    halves = [("supervised", None)]
+    if use_ssl:
+        halves.append(("reconstruction", _TGT_DEF))
+        if cfg.deform_domains == "source-and-target":
+            halves.append(("reconstruction", _SRC_DEF))
+    total_adam_steps = cfg.epochs * steps_per_epoch * len(halves)
 
     config_blob = json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
     metrics_path = os.path.join(run_dir, "metrics.jsonl")
@@ -467,10 +436,12 @@ def train(
     with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
         fh.write(config_blob)
 
-    eval_fn = (
-        evaluate_segmentation if cfg.task == "segmentation" else evaluate_classification
-    )
-    metric_key = "mean_iou" if cfg.task == "segmentation" else "accuracy"
+    if cfg.task == "segmentation":
+        eval_fn, metric_key = evaluate_segmentation, "mean_iou"
+        sup_loss_and_grads = segmentation_loss_and_grads
+    else:
+        eval_fn, metric_key = evaluate_classification, "accuracy"
+        sup_loss_and_grads = classification_loss_and_grads
 
     end_epoch = cfg.epochs
     if stop_after is not None:
@@ -481,26 +452,16 @@ def train(
             tgt_perm = as_rng(_seed(cfg.seed, STREAM_EPOCH, epoch, _TGT_PERM)).permutation(
                 len(tgt_pts)
             )
-        sup_losses, ssl_losses = [], []
-        lr_now = cfg.lr
+        losses = {"supervised": [], "reconstruction": []}
         for step in range(steps_per_epoch):
             sl = slice(step * cfg.batch_size, (step + 1) * cfg.batch_size)
-            batch_idx = src_perm[sl]
-            batch = []
-            for j, idx in enumerate(batch_idx):
-                s = train_samples[idx]
-                pts = _augment(
+            batch = [
+                replace(s, points=_augment(
                     s.points, cfg, _seed(cfg.seed, STREAM_EPOCH, epoch, _SUP_AUG, step, j)
-                )
-                if cfg.task == "segmentation":
-                    batch.append(SegLabeledCloud(points=pts, labels=s.labels))
-                else:
-                    batch.append(LabeledCloud(points=pts, label=s.label))
+                ))
+                for j, s in enumerate(train_samples[i] for i in src_perm[sl])
+            ]
             try:
-                lr_now = cosine_lr(cfg.lr, adam.t, total_adam_steps)
-                sup_losses.append(
-                    _sup_half_step(params, adam, batch, cfg, num_classes, epoch, step, lr_now)
-                )
                 if use_ssl:
                     tgt_batch = np.stack(
                         [
@@ -511,20 +472,26 @@ def train(
                             for j, idx in enumerate(tgt_perm[sl])
                         ]
                     )
+                for what, tag in halves:
                     lr_now = cosine_lr(cfg.lr, adam.t, total_adam_steps)
-                    ssl_losses.append(
-                        _ssl_half_step(
-                            params, adam, tgt_batch, cfg, epoch, step, _TGT_DEF, lr_now
+                    if tag is None:
+                        loss, grads = sup_loss_and_grads(
+                            params,
+                            *_sup_batch(batch, cfg, num_classes, epoch, step),
+                            mode="train",
+                            dropout_seed=_seed(cfg.seed, STREAM_EPOCH, epoch, _DROP, step),
                         )
-                    )
-                    if cfg.deform_domains == "source-and-target":
-                        src_batch = np.stack([b.points for b in batch])
-                        lr_now = cosine_lr(cfg.lr, adam.t, total_adam_steps)
-                        ssl_losses.append(
-                            _ssl_half_step(
-                                params, adam, src_batch, cfg, epoch, step, _SRC_DEF, lr_now
-                            )
+                    else:
+                        clouds = (
+                            tgt_batch if tag == _TGT_DEF else np.stack([b.points for b in batch])
                         )
+                        loss, grads = _reconstruction_loss_and_grads(
+                            params, clouds, cfg, epoch, step, tag
+                        )
+                    if not np.isfinite(loss):
+                        raise NumericalError(f"{what} loss diverged")
+                    adam_step(params, grads, adam, lr_now, cfg)
+                    losses[what].append(loss)
             except NumericalError as exc:
                 path = _dump_diagnostic(run_dir, params, epoch, step, "train", exc)
                 raise NumericalError(f"{exc} (state dumped to {path})") from exc
@@ -537,8 +504,8 @@ def train(
             best_params = {k: v.copy() for k, v in params.items()}
         record = {
             "epoch": epoch,
-            "sup_loss": float(np.mean(sup_losses)),
-            "ssl_loss": float(np.mean(ssl_losses)) if ssl_losses else None,
+            "sup_loss": float(np.mean(losses["supervised"])),
+            "ssl_loss": float(np.mean(losses["reconstruction"])) if use_ssl else None,
             "val_" + metric_key: val[metric_key],
             "val_cross_entropy": val["cross_entropy"],
             "lr": float(lr_now),
@@ -556,9 +523,10 @@ def train(
             "dtype": cfg.dtype,
             "config": json.loads(config_blob),
         }
-        save_checkpoint(last_path, params, best_params, adam, meta)
+        blob = save_checkpoint(last_path, params, best_params, adam, meta)
         if is_best:
-            save_checkpoint(best_path, params, best_params, adam, meta)
+            atomic_write_bytes(best_path, blob)
+        del blob  # a whole checkpoint; not to be held through the next epoch
 
     return TrainResult(
         params=params,

@@ -15,12 +15,10 @@ from pcda.network import (
     SUP_HIDDEN,
     backward,
     classification_loss_and_grads,
-    encode,
     forward_pass,
-    head_ssl,
-    head_sup,
     init_params,
     param_dtype,
+    point_features,
     reconstruction_loss_and_grads,
     segmentation_loss_and_grads,
     softmax_cross_entropy,
@@ -140,14 +138,27 @@ class TestForward:
         b, _ = forward_pass(params_cls, pts, heads=("sup",), dropout_seed=99)
         assert np.array_equal(a["logits"], b["logits"])
 
-    def test_helper_composition_matches_forward(self, params_cls):
-        pts = make_cloud(6, 18)
-        out, _ = forward_pass(params_cls, pts, heads=("sup", "rec"))
-        g, per_layer, _ = encode(params_cls, pts)
-        assert np.array_equal(g, out["global"])
-        assert np.array_equal(head_sup(params_cls, g), out["logits"])
-        recon = head_ssl(params_cls, g, per_layer[3])
-        assert np.array_equal(recon, out["recon"])
+    def test_train_dropout_masks_both_sup_hidden_layers(self, params_cls):
+        clouds = np.stack([make_cloud(i, 16) for i in range(8)])
+        _, trace = forward_pass(
+            params_cls, clouds, mode="train", heads=("sup",), dropout_seed=3
+        )
+        for key in ("m1", "m2"):
+            mask = trace["sup"][key]
+            assert mask is not None
+            assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - DROPOUT_RATE)}
+            assert abs((mask == 0).mean() - DROPOUT_RATE) < 0.05
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_point_features_match_forward_activations(self, dtype):
+        params = init_params(3, seed=4, dtype=dtype)
+        clouds = np.stack([make_cloud(i, 20) for i in range(3)])
+        _, trace = forward_pass(params, clouds, heads=())
+        for layer in range(1, len(ENCODER_WIDTHS) + 1):
+            feats = point_features(params, clouds, layer)
+            want = trace["acts"][layer - 1].reshape(3, 20, -1).astype(np.float64)
+            assert feats.dtype == np.float64
+            assert np.array_equal(feats, want)
 
     def test_bad_shapes_rejected(self, params_cls):
         with pytest.raises(DataFormatError):

@@ -248,6 +248,14 @@ class TestGenBenchmark:
                 assert s.labels.shape == (64,)
                 assert s.labels.min() >= 0 and s.labels.max() < 4
 
+    @pytest.mark.parametrize("segmentation", [False, True])
+    def test_in_memory_clouds_stay_in_unit_cube(self, segmentation):
+        # unclamped, seed 1 at the default sizes gives 0.5000000000000001
+        splits, _ = gen_benchmark(BenchConfig(seed=1, segmentation=segmentation))
+        for ds in splits.values():
+            for s in ds.samples:
+                assert np.abs(s.points).max() <= 0.5
+
 
 class TestBenchConfigValidation:
     @pytest.mark.parametrize(
