@@ -95,12 +95,22 @@ def farthest_point_sample(points: np.ndarray, m: int, seed=None) -> np.ndarray:
     rng = as_rng(seed)
     selected = np.empty(m, dtype=np.int64)
     selected[0] = rng.integers(n)
+    cols = pts.T.copy()  # contiguous x, y, z rows
+
+    def sq_dist(i):
+        # (dx² + dy²) + dz², the order of ((pts - pts[i]) ** 2).sum(axis=1)
+        d = cols - cols[:, i : i + 1]
+        d *= d
+        d[0] += d[1]
+        d[0] += d[2]
+        return d[0]
+
     # squared distances to the nearest selected point so far
-    best = ((pts - pts[selected[0]]) ** 2).sum(axis=1)
+    best = sq_dist(selected[0])
     for i in range(1, m):
-        nxt = int(np.argmax(best))  # argmax takes the lowest index on ties
+        nxt = int(best.argmax())  # argmax takes the lowest index on ties
         selected[i] = nxt
-        np.minimum(best, ((pts - pts[nxt]) ** 2).sum(axis=1), out=best)
+        np.minimum(best, sq_dist(nxt), out=best)
     return selected
 
 

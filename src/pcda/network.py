@@ -100,10 +100,30 @@ def _encode(params, x, layers: int) -> list:
     """Per-point activations of the first `layers` encoder layers for (rows, 3) points."""
     acts = []
     for i in range(1, layers + 1):
-        x = x @ params[f"enc{i}_w"] + params[f"enc{i}_b"]
+        x = x @ params[f"enc{i}_w"]
+        x += params[f"enc{i}_b"]
         np.maximum(x, 0.0, out=x)
         acts.append(x)
     return acts
+
+
+def _max_pool_argmax(a5):
+    """For (B, n, C) activations, the (B, C) row index of each column's
+    maximum, the first (lowest) one on ties as np.argmax(axis=1) gives.
+
+    Works one cloud at a time on the contiguous rows, which is several
+    times faster than np.argmax along the strided point axis. Raises
+    NumericalError if a maximum is not finite (NaN or inf).
+    """
+    B, n, C = a5.shape
+    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    argmax = np.empty((B, C), dtype=np.intp)
+    for b in range(B):
+        top = a5[b].max(axis=0)  # NaN if the column holds one
+        if not np.isfinite(top).all():
+            raise NumericalError("numerical overflow in encoder activations")
+        argmax[b] = n - ((a5[b] == top) * rank).max(axis=0)
+    return argmax
 
 
 def point_features(params: dict, clouds, layer: int) -> np.ndarray:
@@ -141,10 +161,8 @@ def forward_pass(
     x = batch.reshape(B * n, 3)
     acts = _encode(params, x, len(ENCODER_WIDTHS))
     a5 = acts[-1].reshape(B, n, GLOBAL_DIM)
-    argmax = a5.argmax(axis=1)  # first (lowest) row index on ties
+    argmax = _max_pool_argmax(a5)
     g = np.take_along_axis(a5, argmax[:, None, :], axis=1)[:, 0, :]
-    if not np.isfinite(g).all():
-        raise NumericalError("numerical overflow in encoder activations")
 
     outputs = {"global": g[0] if single else g}
     trace = {
@@ -259,7 +277,10 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
         if da4 is not None:
             da4_extra = da4 if da4_extra is None else da4_extra + da4
 
-    # max-pool: route the global-feature gradient to the argmax rows
+    # max-pool: route the global-feature gradient to the argmax rows; layer
+    # 5's activation there is the global feature, so its ReLU gate is g > 0
+    # and is applied before the scatter (every other row stays zero)
+    dg *= trace["global"] > 0
     da5 = np.zeros((B, n, GLOBAL_DIM), dtype=dtype)
     np.put_along_axis(da5, trace["argmax"][:, None, :], dg[:, None, :], axis=1)
     dh = da5.reshape(B * n, GLOBAL_DIM)
@@ -267,7 +288,8 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
     acts = trace["acts"]
     inputs = [trace["x"]] + acts[:-1]
     for i in range(len(ENCODER_WIDTHS), 0, -1):
-        dh = dh * (acts[i - 1] > 0)
+        if i < len(ENCODER_WIDTHS):
+            dh *= acts[i - 1] > 0
         grads[f"enc{i}_w"] += inputs[i - 1].T @ dh
         grads[f"enc{i}_b"] += dh.sum(axis=0)
         if i > 1:

@@ -91,6 +91,20 @@ class TestFarthestPointSample:
             dists.append(d)
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
 
+    def test_matches_reference_greedy_with_ties(self):
+        # bitwise the same picks as the plain greedy loop, on a grid full of
+        # distance ties
+        pts = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+        pts = np.concatenate([pts, make_cloud(5, 30)])
+        for seed in range(3):
+            idx = farthest_point_sample(pts, 40, seed=seed)
+            want = [idx[0]]
+            best = ((pts - pts[idx[0]]) ** 2).sum(axis=1)
+            for _ in range(39):
+                want.append(int(np.argmax(best)))
+                best = np.minimum(best, ((pts - pts[want[-1]]) ** 2).sum(axis=1))
+            assert list(idx) == want
+
     def test_oversample_rejected(self):
         with pytest.raises(DataFormatError):
             farthest_point_sample(make_cloud(0, 4), 5)

@@ -160,6 +160,18 @@ class TestForward:
             assert feats.dtype == np.float64
             assert np.array_equal(feats, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_pool_argmax_is_first_maximum(self, dtype):
+        # repeated points tie every activation; np.argmax picks the first row
+        params = init_params(3, seed=2, dtype=dtype)
+        clouds = np.stack([make_cloud(i, 40) for i in range(4)])
+        clouds[:, 20:] = clouds[:, :20]
+        clouds[1] = clouds[1, 0]
+        _, trace = forward_pass(params, clouds, heads=())
+        a5 = trace["acts"][-1].reshape(4, 40, GLOBAL_DIM)
+        assert (a5 == 0).all(axis=1).any()  # some all-zero (tied) columns
+        assert np.array_equal(trace["argmax"], a5.argmax(axis=1))
+
     def test_bad_shapes_rejected(self, params_cls):
         with pytest.raises(DataFormatError):
             forward_pass(params_cls, np.zeros((4, 2)))
