@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .cloud import LabeledCloud
 from .config import load_run_config
@@ -26,17 +27,16 @@ from .deform import KINDS, DeformSpec, apply_deformation
 from .errors import DataFormatError, NumericalError, UsageError
 from .evaluation import fit_class_gaussians, log_perplexity, project_features
 from .mixup import mixup_classify
-from .synthbench import BenchConfig, gen_benchmark
+from .synthbench import SPLIT_CODES, BenchConfig, gen_benchmark
 from .training import (
     TrainConfig,
     evaluate_classification,
     evaluate_segmentation,
     extract_global_features,
     load_params,
+    prepare_run,
     train,
 )
-
-SPLITS = ("source_train", "source_test", "target_train", "target_test")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,6 +48,12 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _from_args(cls, args, **extra):
+    """A `cls` config built from the parsed flags named after its fields."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**given, **extra)
+
+
 def _load_bench(bench_dir: str, *needed: str) -> dict:
     if not os.path.isdir(bench_dir):
         raise DataFormatError(f"{bench_dir}: not a benchmark directory")
@@ -57,10 +63,6 @@ def _load_bench(bench_dir: str, *needed: str) -> dict:
         if not os.path.exists(path):
             raise DataFormatError(f"{bench_dir}: missing split {name!r} ({path})")
         out[name] = load_archive(path)
-    meta_path = os.path.join(bench_dir, "meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            out["meta"] = json.load(fh)
     return out
 
 
@@ -68,22 +70,7 @@ def _load_bench(bench_dir: str, *needed: str) -> dict:
 
 
 def cmd_gen_bench(args) -> int:
-    cfg = BenchConfig(
-        n_points=args.n_points,
-        num_classes=args.classes,
-        source_train=args.source_train,
-        source_test=args.source_test,
-        target_train=args.target_train,
-        target_test=args.target_test,
-        occlusion_fraction=args.occlusion,
-        corruption_scheme=args.scheme,
-        density_bias=args.density_bias,
-        keep_fraction=args.keep_fraction,
-        target_jitter=args.target_jitter,
-        seed=args.seed,
-        segmentation=args.segmentation,
-    )
-    splits, meta = gen_benchmark(cfg)
+    splits, meta = gen_benchmark(_from_args(BenchConfig, args))
     os.makedirs(args.out, exist_ok=True)
     for name, dataset in splits.items():
         save_archive(os.path.join(args.out, name + ".dfrc"), dataset)
@@ -102,21 +89,9 @@ def cmd_gen_bench(args) -> int:
     return 0
 
 
-def _deform_spec_from_args(args) -> DeformSpec:
-    return DeformSpec(
-        kind=args.kind,
-        k=args.voxel_k,
-        radius=args.radius,
-        layer=args.feature_layer,
-        k_pts=args.k_pts,
-        relocate_sigma=args.relocate_sigma,
-        sample_cap_fraction=args.cap_fraction,
-    )
-
-
 def cmd_deform(args) -> int:
     points = load_cloud(args.input)
-    pair = apply_deformation(points, _deform_spec_from_args(args), seed=args.seed)
+    pair = apply_deformation(points, _from_args(DeformSpec, args), seed=args.seed)
     save_cloud(args.out, pair.deformed)
     if args.region_out:
         atomic_write_text(
@@ -156,49 +131,29 @@ def cmd_mixup(args) -> int:
     return 0
 
 
-def _train_config_from_args(args, task: str) -> TrainConfig:
+def cmd_train(args) -> int:
+    bench = _load_bench(args.bench, "source_train", "target_train")
+    source = bench["source_train"]
+    target = bench["target_train"]
+    task = "segmentation" if source.segmented else "classification"
     if args.config:
         cfg = load_run_config(args.config).train
         if cfg.task != task:
             raise DataFormatError(
                 f"config task {cfg.task!r} does not match benchmark task {task!r}"
             )
-        return cfg
-    return TrainConfig(
-        task=task,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        ssl_weight=args.ssl_weight,
-        use_mixup=not args.no_mixup,
-        mixup_alpha=args.alpha,
-        mixup_beta=args.beta,
-        deform=_deform_spec_from_args(args),
-        deform_domains=args.deform_domains,
-        val_fraction=args.val_fraction,
-        augment=not args.no_augment,
-        jitter_sigma=args.jitter_sigma,
-        jitter_clip=args.jitter_clip,
-        seed=args.seed,
-        dtype=args.dtype,
-    )
-
-
-def cmd_train(args) -> int:
-    bench = _load_bench(args.bench, "source_train", "target_train")
-    source = bench["source_train"]
-    target = bench["target_train"]
-    task = "segmentation" if source.segmented else "classification"
-    cfg = _train_config_from_args(args, task)
-    os.makedirs(args.out, exist_ok=True)
+    else:
+        cfg = _from_args(TrainConfig, args, task=task, deform=_from_args(DeformSpec, args))
     lock_path = os.path.join(args.out, ".lock")
+    locked = UsageError(f"{args.out} is locked by another run (remove {lock_path} if stale)")
+    if os.path.exists(lock_path):
+        raise locked
+    prepare_run(source, target, cfg)  # refuse a bad run before its directory exists
+    os.makedirs(args.out, exist_ok=True)
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise UsageError(
-            f"{args.out} is locked by another run (remove {lock_path} if stale)"
-        ) from None
+        raise locked from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()) + "\n")
@@ -221,14 +176,11 @@ def cmd_eval(args) -> int:
     params, meta = load_params(args.ckpt)
     bench = _load_bench(args.bench, args.split)
     dataset = bench[args.split]
-    if meta.get("task") == "segmentation":
-        if not dataset.segmented:
-            raise DataFormatError("checkpoint is segmentation but split is not")
-        metrics = evaluate_segmentation(params, dataset, args.batch_size)
-    else:
-        if dataset.segmented:
-            raise DataFormatError("checkpoint is classification but split is segmented")
-        metrics = evaluate_classification(params, dataset, args.batch_size)
+    segmented = meta.get("task") == "segmentation"
+    if dataset.segmented != segmented:
+        raise DataFormatError(f"checkpoint task {meta.get('task')!r} does not match the split")
+    evaluate = evaluate_segmentation if segmented else evaluate_classification
+    metrics = evaluate(params, dataset, args.batch_size)
     _emit({"split": args.split, **metrics})
     return 0
 
@@ -284,18 +236,21 @@ def cmd_selftest(args) -> int:
 
 
 def _add_deform_flags(p) -> None:
-    p.add_argument("--kind", default="voxel", choices=KINDS, help="deformation variant")
-    p.add_argument("--voxel-k", type=int, default=3, help="voxel grid resolution")
-    p.add_argument("--radius", type=float, default=0.2, help="sphere region radius")
-    p.add_argument("--k-pts", type=int, default=200, help="feature-space region size")
+    d = DeformSpec()
+    p.add_argument("--kind", default=d.kind, choices=KINDS, help="deformation variant")
+    p.add_argument("--voxel-k", dest="k", type=int, default=d.k, help="voxel grid resolution")
+    p.add_argument("--radius", type=float, default=d.radius, help="sphere region radius")
+    p.add_argument("--k-pts", type=int, default=d.k_pts, help="feature-space region size")
     p.add_argument(
-        "--feature-layer", type=int, default=3, help="encoder layer for feature proximity"
+        "--feature-layer", dest="layer", type=int, default=d.layer,
+        help="encoder layer (1-5) for feature proximity",
     )
     p.add_argument(
-        "--relocate-sigma", type=float, default=0.05, help="relocation noise scale"
+        "--relocate-sigma", type=float, default=d.relocate_sigma, help="relocation noise scale"
     )
     p.add_argument(
-        "--cap-fraction", type=float, default=0.5, help="max region share for sampling schemes"
+        "--cap-fraction", dest="sample_cap_fraction", type=float,
+        default=d.sample_cap_fraction, help="max region share for sampling schemes",
     )
 
 
@@ -313,16 +268,20 @@ def build_parser() -> _Parser:
     bench_defaults = BenchConfig()
     p = sub.add_parser("gen-bench", help="generate a synthetic two-domain benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=bench_defaults.seed)
     p.add_argument("--n-points", type=int, default=bench_defaults.n_points)
-    p.add_argument("--classes", type=int, default=bench_defaults.num_classes)
+    p.add_argument("--classes", dest="num_classes", type=int, default=bench_defaults.num_classes)
     p.add_argument("--source-train", type=int, default=bench_defaults.source_train)
     p.add_argument("--source-test", type=int, default=bench_defaults.source_test)
     p.add_argument("--target-train", type=int, default=bench_defaults.target_train)
     p.add_argument("--target-test", type=int, default=bench_defaults.target_test)
-    p.add_argument("--occlusion", type=float, default=bench_defaults.occlusion_fraction)
+    p.add_argument(
+        "--occlusion", dest="occlusion_fraction", type=float,
+        default=bench_defaults.occlusion_fraction,
+    )
     p.add_argument(
         "--scheme",
+        dest="corruption_scheme",
         default=bench_defaults.corruption_scheme,
         choices=("split", "gradient", "lambertian"),
     )
@@ -363,12 +322,14 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=train_defaults.lr)
     p.add_argument("--weight-decay", type=float, default=train_defaults.weight_decay)
     p.add_argument("--ssl-weight", type=float, default=train_defaults.ssl_weight)
-    p.add_argument("--no-mixup", action="store_true")
+    p.add_argument("--no-mixup", dest="use_mixup", action="store_false")
     p.add_argument(
-        "--alpha", type=float, default=train_defaults.mixup_alpha, help="mixup Beta alpha"
+        "--alpha", dest="mixup_alpha", type=float, default=train_defaults.mixup_alpha,
+        help="mixup Beta alpha",
     )
     p.add_argument(
-        "--beta", type=float, default=train_defaults.mixup_beta, help="mixup Beta beta"
+        "--beta", dest="mixup_beta", type=float, default=train_defaults.mixup_beta,
+        help="mixup Beta beta",
     )
     p.add_argument(
         "--deform-domains",
@@ -376,7 +337,7 @@ def build_parser() -> _Parser:
         choices=("target-only", "source-and-target"),
     )
     p.add_argument("--val-fraction", type=float, default=train_defaults.val_fraction)
-    p.add_argument("--no-augment", action="store_true")
+    p.add_argument("--no-augment", dest="augment", action="store_false")
     p.add_argument("--jitter-sigma", type=float, default=train_defaults.jitter_sigma)
     p.add_argument("--jitter-clip", type=float, default=train_defaults.jitter_clip)
     p.add_argument("--seed", type=int, default=train_defaults.seed)
@@ -388,7 +349,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a benchmark split")
     p.add_argument("--bench", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", default="target_test", choices=SPLITS)
+    p.add_argument("--split", default="target_test", choices=SPLIT_CODES)
     p.add_argument("--batch-size", type=int, default=32)
     p.set_defaults(func=cmd_eval)
 
@@ -397,7 +358,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--bench", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", default="target_test", choices=SPLITS)
+    p.add_argument("--split", default="target_test", choices=SPLIT_CODES)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--features-out", help="save features and 2-d projection")
     p.set_defaults(func=cmd_perplexity)
@@ -419,15 +380,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
+    except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -36,13 +36,9 @@ def _build_dataclass(cls, data, where: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise DataFormatError(f"{where}: unknown keys {unknown}")
-    kwargs = {}
-    for key, value in data.items():
-        if cls is TrainConfig and key == "deform":
-            value = _build_dataclass(DeformSpec, value, f"{where}.deform")
-        elif cls is DeformSpec and key.startswith("mixed_") and value is not None:
-            value = _build_dataclass(DeformSpec, value, f"{where}.{key}")
-        kwargs[key] = value
+    kwargs = dict(data)
+    if cls is TrainConfig and "deform" in kwargs:
+        kwargs["deform"] = _build_dataclass(DeformSpec, kwargs["deform"], f"{where}.deform")
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -12,6 +12,7 @@ identical files. All writers go through a temp file plus atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -57,7 +58,7 @@ def save_xyz(path, points) -> None:
 
 def load_xyz(path) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -110,10 +111,12 @@ def load_ply(path) -> np.ndarray:
             if tokens[1:2] != ["ascii"]:
                 raise DataFormatError(f"{path}: line {lineno}: only ascii ply is supported")
         elif tokens[0] == "element":
-            in_vertex = tokens[1] == "vertex"
+            in_vertex = tokens[1:2] == ["vertex"]
             if in_vertex:
                 try:
                     count = int(tokens[2])
+                    if count < 0:
+                        raise ValueError
                 except (IndexError, ValueError):
                     raise DataFormatError(
                         f"{path}: line {lineno}: bad vertex count"
@@ -129,10 +132,10 @@ def load_ply(path) -> np.ndarray:
         cols = [props.index(axis) for axis in ("x", "y", "z")]
     except ValueError:
         raise DataFormatError(f"{path}: vertex element lacks x/y/z properties") from None
-    rows = np.empty((count, 3), dtype=np.float64)
     body = lines[body_at:]
     if len(body) < count:
         raise DataFormatError(f"{path}: expected {count} vertices, found {len(body)}")
+    rows = np.empty((count, 3), dtype=np.float64)
     for i in range(count):
         tokens = body[i].split()
         lineno = body_at + 1 + i
@@ -318,17 +321,30 @@ def load_tensors(path):
         meta = json.loads(r.take(meta_len).decode("utf-8"))
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad metadata block: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: metadata block is not a JSON object")
     tensors = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name_b = r.take(name_len)
         (dtype_len,) = r.unpack("<H")
-        dtype = np.dtype(r.take(dtype_len).decode("ascii"))
+        dtype_b = r.take(dtype_len)
+        try:
+            name = name_b.decode("utf-8")
+            dtype = np.dtype(dtype_b.decode("ascii"))
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: bad tensor header before byte {r.pos}: {exc}") from None
+        if dtype.kind not in "biufc":
+            raise DataFormatError(f"{path}: tensor {name!r} has unsupported dtype {dtype.str!r}")
         (ndim,) = r.unpack("<H")
         shape = r.unpack(f"<{ndim}q")
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(r.take(size * dtype.itemsize), dtype=dtype)
-        tensors[name] = arr.reshape(shape).copy()
+        if min(shape, default=0) < 0:
+            raise DataFormatError(f"{path}: tensor {name!r} has negative shape {shape}")
+        arr = np.frombuffer(r.take(math.prod(shape) * dtype.itemsize), dtype=dtype)
+        try:
+            tensors[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # an empty tensor whose other dims overflow
+            raise DataFormatError(f"{path}: tensor {name!r} shape {shape}: {exc}") from None
     if r.pos != len(data):
         raise DataFormatError(f"{path}: {len(data) - r.pos} trailing bytes")
     return tensors, meta

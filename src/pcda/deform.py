@@ -10,22 +10,26 @@ with draws from an isotropic Gaussian around a region center, producing a
   (half-space split, axis-aligned density ramp, or normal-vs-view-direction
   weighting).
 
-A mixed mode draws one of the three families uniformly per call.
+A mixed mode draws one of the three families uniformly per call and applies
+its variant (voxel, feature or split) with the spec's own parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cloud import as_rng, check_cloud, estimate_normals
 from .errors import DataFormatError, NumericalError
+from .network import ENCODER_WIDTHS
 
-VOLUME_KINDS = ("voxel", "sphere")
 SAMPLE_SCHEMES = ("split", "gradient", "lambertian")
 KINDS = ("voxel", "sphere", "feature", "split", "gradient", "lambertian", "mixed")
 FAMILIES = ("volume", "feature", "sample")
+MIXED_KINDS = {"volume": "voxel", "feature": "feature", "sample": "split"}
+FEATURE_KINDS = ("feature", "mixed")  # kinds that select by encoder features
+NORMALS_K = 10  # plane-fit neighborhood when normals are estimated
 
 # retry budget when a stochastic scheme selects nothing
 _MAX_RETRIES = 16
@@ -37,32 +41,29 @@ class DeformSpec:
 
     kind is one of "voxel", "sphere", "feature", "split", "gradient",
     "lambertian", or "mixed". Unused fields are ignored by kinds that do not
-    need them. For "mixed", `mixed_volume`, `mixed_feature`, `mixed_sample`
-    give the per-family variants; unset families fall back to defaults
-    (voxel k=3, feature k_pts=200 at layer 3, sample split).
+    need them. "mixed" draws voxel, feature or split per call and applies it
+    with this spec's k, layer, k_pts, relocate_sigma and sample_cap_fraction.
     """
 
     kind: str = "voxel"
     k: int = 3  # voxel grid resolution per axis
     radius: float = 0.2  # sphere radius
-    layer: int = 3  # encoder layer for feature-space proximity
+    layer: int = 3  # encoder layer (1-5) for feature-space proximity
     k_pts: int = 200  # region size for feature-space selection
     relocate_sigma: float = 0.05
     sample_cap_fraction: float = 0.5
-    normals_k: int = 10  # plane-fit neighborhood when normals are estimated
-    mixed_volume: "DeformSpec | None" = None
-    mixed_feature: "DeformSpec | None" = None
-    mixed_sample: "DeformSpec | None" = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataFormatError(f"unknown deformation kind {self.kind!r}")
-        if self.kind == "voxel" and self.k < 1:
+        if self.kind in ("voxel", "mixed") and self.k < 1:
             raise DataFormatError("voxel grid resolution must be >= 1")
         if self.kind == "sphere" and self.radius <= 0:
             raise DataFormatError("sphere radius must be positive")
-        if self.kind == "feature" and self.k_pts < 1:
+        if self.kind in FEATURE_KINDS and self.k_pts < 1:
             raise DataFormatError("feature region size must be >= 1")
+        if self.kind in FEATURE_KINDS and not 1 <= self.layer <= len(ENCODER_WIDTHS):
+            raise DataFormatError(f"feature layer must be in 1..{len(ENCODER_WIDTHS)}")
         if not 0 < self.sample_cap_fraction <= 1:
             raise DataFormatError("sample_cap_fraction must be in (0, 1]")
         if self.relocate_sigma < 0:
@@ -213,7 +214,6 @@ def sample_region(
     seed=None,
     cap_fraction: float = 0.5,
     normals=None,
-    normals_k: int = 10,
 ) -> np.ndarray:
     """Indices drawn by one of the stochastic sampling schemes.
 
@@ -232,7 +232,7 @@ def sample_region(
     rng = as_rng(seed)
     if scheme == "lambertian":
         if normals is None:
-            normals = estimate_normals(pts, k=min(normals_k, len(pts)))
+            normals = estimate_normals(pts, k=min(NORMALS_K, len(pts)))
         else:
             normals = np.asarray(normals, dtype=np.float64)
             if normals.shape != pts.shape:
@@ -263,7 +263,6 @@ def deform_sample(
     relocate_sigma: float = 0.05,
     seed=None,
     normals=None,
-    normals_k: int = 10,
 ) -> DeformedPair:
     """Select points by a stochastic sampling scheme (see sample_region) and
     relocate them to Gaussian samples around the origin."""
@@ -275,7 +274,6 @@ def deform_sample(
         seed=rng,
         cap_fraction=sample_cap_fraction,
         normals=normals,
-        normals_k=normals_k,
     )
     origin = np.zeros(3)
     return DeformedPair(
@@ -292,35 +290,18 @@ def pick_mixed_family(seed=None) -> str:
     return FAMILIES[as_rng(seed).integers(3)]
 
 
-def default_family_specs() -> dict:
-    """Per-family default variants used by the mixed strategy."""
-    return {
-        "volume": DeformSpec(kind="voxel", k=3),
-        "feature": DeformSpec(kind="feature", k_pts=200, layer=3),
-        "sample": DeformSpec(kind="split"),
-    }
-
-
 def apply_deformation(points, spec: DeformSpec, seed=None, features=None, normals=None) -> DeformedPair:
     """Apply the deformation described by `spec` to a cloud.
 
     `features` supplies the per-point embedding for feature-space selection;
     when absent the raw coordinates are used as the feature space. For the
-    mixed kind, one family is drawn uniformly and its configured variant
-    applied.
+    mixed kind, one family is drawn uniformly and its variant applied with
+    the spec's own parameters.
     """
     pts = check_cloud(points)
     rng = as_rng(seed)
     if spec.kind == "mixed":
-        family = pick_mixed_family(rng)
-        defaults = default_family_specs()
-        sub = {
-            "volume": spec.mixed_volume or defaults["volume"],
-            "feature": spec.mixed_feature or defaults["feature"],
-            "sample": spec.mixed_sample or defaults["sample"],
-        }[family]
-        pair = apply_deformation(pts, sub, rng, features=features, normals=normals)
-        return pair
+        spec = replace(spec, kind=MIXED_KINDS[pick_mixed_family(rng)])
     if spec.kind == "voxel":
         return deform_voxel(pts, k=spec.k, relocate_sigma=spec.relocate_sigma, seed=rng)
     if spec.kind == "sphere":
@@ -337,5 +318,4 @@ def apply_deformation(points, spec: DeformSpec, seed=None, features=None, normal
         relocate_sigma=spec.relocate_sigma,
         seed=rng,
         normals=normals,
-        normals_k=spec.normals_k,
     )

@@ -275,9 +275,7 @@ def check_deformations(draws_per_kind: int = 8, seed: int = 0) -> CheckResult:
         DeformSpec(kind="split"),
         DeformSpec(kind="gradient"),
         DeformSpec(kind="lambertian"),
-        DeformSpec(
-            kind="mixed", mixed_feature=DeformSpec(kind="feature", k_pts=40, layer=3)
-        ),
+        DeformSpec(kind="mixed", k_pts=40),
     ]
     rng = as_rng(seed)
     for spec in specs:

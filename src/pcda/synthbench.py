@@ -35,6 +35,7 @@ from .errors import DataFormatError
 
 PRIMITIVES = ("cylinder", "cone", "torus", "box")
 SPLIT_CODES = {"source_train": 0, "source_test": 1, "target_train": 2, "target_test": 3}
+OVERSAMPLE = 2.0  # surface samples per output point before corruption and FPS
 
 
 @dataclass
@@ -47,7 +48,6 @@ class BenchConfig:
     source_test: int = 60
     target_train: int = 200
     target_test: int = 150
-    oversample: float = 2.0
     occlusion_fraction: float = 0.5
     corruption_scheme: str = "split"
     density_bias: float = 3.5
@@ -64,8 +64,6 @@ class BenchConfig:
             raise DataFormatError(
                 f"num_classes must be in [2, {len(PRIMITIVES)}]"
             )
-        if self.oversample < 1.2:
-            raise DataFormatError("oversample must be at least 1.2")
         if not 0 <= self.occlusion_fraction < 1:
             raise DataFormatError("occlusion_fraction must be in [0, 1)")
         if not 0 < self.keep_fraction <= 1:
@@ -270,7 +268,7 @@ def _sample_rng(cfg: BenchConfig, split: str, index: int):
 
 def _build_classification(cfg: BenchConfig, split: str, count: int) -> Dataset:
     corrupted = split.startswith("target")
-    m = int(np.ceil(cfg.oversample * cfg.n_points))
+    m = int(np.ceil(OVERSAMPLE * cfg.n_points))
     samples = []
     for i in range(count):
         rng = _sample_rng(cfg, split, i)
@@ -286,7 +284,7 @@ def _build_classification(cfg: BenchConfig, split: str, count: int) -> Dataset:
 
 def _build_segmentation(cfg: BenchConfig, split: str, count: int) -> Dataset:
     corrupted = split.startswith("target")
-    m = int(np.ceil(cfg.oversample * cfg.n_points))
+    m = int(np.ceil(OVERSAMPLE * cfg.n_points))
     samples = []
     for i in range(count):
         rng = _sample_rng(cfg, split, i)
@@ -303,10 +301,7 @@ def _build_segmentation(cfg: BenchConfig, split: str, count: int) -> Dataset:
 def gen_benchmark(cfg: BenchConfig):
     """All four splits plus a metadata dict describing the benchmark."""
     build = _build_segmentation if cfg.segmentation else _build_classification
-    splits = {
-        name: build(cfg, name, getattr(cfg, name))
-        for name in ("source_train", "source_test", "target_train", "target_test")
-    }
+    splits = {name: build(cfg, name, getattr(cfg, name)) for name in SPLIT_CODES}
     meta = {
         "kind": "segmentation" if cfg.segmentation else "classification",
         "classes": (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cloud import as_rng, jitter, rotate_z
 from .dataio import Dataset, atomic_write_bytes, load_tensors, save_tensors
-from .deform import DeformSpec, apply_deformation, default_family_specs
+from .deform import FEATURE_KINDS, DeformSpec, apply_deformation
 from .errors import DataFormatError, NumericalError
 from .evaluation import mean_iou
 from .mixup import mixup_classify, mixup_segment
@@ -43,6 +43,7 @@ STREAM_INIT = 2
 _SRC_PERM, _TGT_PERM, _SUP_AUG, _MIX, _DROP, _TGT_AUG, _TGT_DEF, _SRC_DEF = range(8)
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _seed(*parts) -> np.random.SeedSequence:
@@ -70,9 +71,6 @@ class TrainConfig:
     jitter_clip: float = 0.02
     seed: int = 0
     dtype: str = "float64"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.task not in ("classification", "segmentation"):
@@ -87,6 +85,10 @@ class TrainConfig:
             raise DataFormatError("ssl_weight must be non-negative")
         if not 0 <= self.val_fraction < 1:
             raise DataFormatError("val_fraction must be in [0, 1)")
+        if self.mixup_alpha <= 0 or self.mixup_beta <= 0:
+            raise DataFormatError("mixup_alpha and mixup_beta must be positive")
+        if self.jitter_sigma < 0 or self.jitter_clip < 0:
+            raise DataFormatError("jitter_sigma and jitter_clip must be non-negative")
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -112,7 +114,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, cfg: Train
     """One Adam update in place. Weight decay is classic L2, added to the
     gradient before the moment updates."""
     state.t += 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for k, p in params.items():
@@ -218,15 +220,8 @@ def evaluate_segmentation(params: dict, dataset: Dataset, batch_size: int = 16) 
 
 def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict) -> bytes:
     """Write a checkpoint and return the bytes written."""
-    tensors = {}
-    for k, v in params.items():
-        tensors[f"param/{k}"] = v
-    for k, v in best_params.items():
-        tensors[f"best/{k}"] = v
-    for k, v in adam.m.items():
-        tensors[f"adam_m/{k}"] = v
-    for k, v in adam.v.items():
-        tensors[f"adam_v/{k}"] = v
+    groups = {"param": params, "best": best_params, "adam_m": adam.m, "adam_v": adam.v}
+    tensors = {f"{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
     return save_tensors(path, tensors, {**meta, "adam_t": adam.t})
 
 
@@ -272,24 +267,15 @@ def _augment(points, cfg: TrainConfig, seed):
     return jitter(out, sigma=cfg.jitter_sigma, clip=cfg.jitter_clip, seed=rng)
 
 
-def _feature_layer(spec: DeformSpec) -> int:
-    if spec.kind == "feature":
-        return spec.layer
-    if spec.kind == "mixed":
-        sub = spec.mixed_feature or default_family_specs()["feature"]
-        return sub.layer
-    return 0
-
-
 def _reconstruction_loss_and_grads(params, clouds, cfg, epoch, step, tag):
     """Deform every cloud in the batch and reconstruct it: the unweighted
     region Chamfer loss and ssl_weight-scaled gradients."""
-    layer = _feature_layer(cfg.deform)
-    feats = point_features(params, clouds, layer) if layer else None
+    spec = cfg.deform
+    feats = point_features(params, clouds, spec.layer) if spec.kind in FEATURE_KINDS else None
     pairs = [
         apply_deformation(
             cloud,
-            cfg.deform,
+            spec,
             seed=_seed(cfg.seed, STREAM_EPOCH, epoch, tag, step, j),
             features=None if feats is None else feats[j],
         )
@@ -336,6 +322,51 @@ def _dump_diagnostic(run_dir, params, epoch, step, phase, error):
     return path
 
 
+def prepare_run(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> tuple:
+    """Check a run's inputs against its config before anything is written.
+
+    Returns (training samples, validation set, target clouds or None, steps
+    per epoch); raises DataFormatError for a run that could not complete.
+    """
+    if cfg.task == "segmentation" and not source.segmented:
+        raise DataFormatError("segmentation training needs per-point labels")
+    if cfg.task == "classification" and source.segmented:
+        raise DataFormatError("classification training needs class labels")
+    use_ssl = cfg.ssl_weight > 0
+    if use_ssl and (target is None or not target.samples):
+        raise DataFormatError("reconstruction training needs target clouds")
+
+    if cfg.task == "classification":
+        tr_idx, val_idx = stratified_split(
+            source.labels(), cfg.val_fraction, _seed(cfg.seed, STREAM_SPLIT)
+        )
+    else:
+        tr_idx, val_idx = uniform_split(
+            len(source.samples), cfg.val_fraction, _seed(cfg.seed, STREAM_SPLIT)
+        )
+    if len(val_idx) == 0:
+        raise DataFormatError("validation split is empty; lower batch or add data")
+    train_samples = [source.samples[i] for i in tr_idx]
+    val_set = Dataset(
+        samples=[source.samples[i] for i in val_idx], num_classes=source.num_classes
+    )
+    tgt_pts = target.points_array() if use_ssl else None
+
+    n_src = len(train_samples)
+    if use_ssl:
+        steps_per_epoch = min(n_src, len(tgt_pts)) // cfg.batch_size
+    else:
+        steps_per_epoch = n_src // cfg.batch_size
+    if steps_per_epoch < 1:
+        raise DataFormatError("not enough samples for a single batch")
+    if use_ssl and cfg.deform.kind in FEATURE_KINDS:
+        both = cfg.deform_domains == "source-and-target"
+        n = min(len(s.points) for s in target.samples + (source.samples if both else []))
+        if cfg.deform.k_pts >= n:
+            raise DataFormatError(f"deform k_pts={cfg.deform.k_pts} must be below n={n} points")
+    return train_samples, val_set, tgt_pts, steps_per_epoch
+
+
 def train(
     source: Dataset,
     target: Dataset | None,
@@ -357,42 +388,15 @@ def train(
     accuracy (classification) or mean IoU (segmentation); ties keep the
     earlier epoch. `stop_after` caps the epochs run by this call (the
     config's own epoch count still fixes the schedule), simulating an
-    interrupted run that a later resume continues exactly.
+    interrupted run that a later resume continues exactly. Bad inputs are
+    rejected (see prepare_run) before run_dir is created.
     """
-    if cfg.task == "segmentation" and not source.segmented:
-        raise DataFormatError("segmentation training needs per-point labels")
-    if cfg.task == "classification" and source.segmented:
-        raise DataFormatError("classification training needs class labels")
+    train_samples, val_set, tgt_pts, steps_per_epoch = prepare_run(source, target, cfg)
     os.makedirs(run_dir, exist_ok=True)
     dtype = DTYPES[cfg.dtype]
     num_classes = source.num_classes
     use_ssl = cfg.ssl_weight > 0
-    if use_ssl and (target is None or not target.samples):
-        raise DataFormatError("reconstruction training needs target clouds")
-
-    if cfg.task == "classification":
-        tr_idx, val_idx = stratified_split(
-            source.labels(), cfg.val_fraction, _seed(cfg.seed, STREAM_SPLIT)
-        )
-    else:
-        tr_idx, val_idx = uniform_split(
-            len(source.samples), cfg.val_fraction, _seed(cfg.seed, STREAM_SPLIT)
-        )
-    if len(val_idx) == 0:
-        raise DataFormatError("validation split is empty; lower batch or add data")
-    train_samples = [source.samples[i] for i in tr_idx]
-    val_set = Dataset(
-        samples=[source.samples[i] for i in val_idx], num_classes=num_classes
-    )
-    tgt_pts = target.points_array() if (target and target.samples) else None
-
     n_src = len(train_samples)
-    if use_ssl:
-        steps_per_epoch = min(n_src, len(tgt_pts)) // cfg.batch_size
-    else:
-        steps_per_epoch = n_src // cfg.batch_size
-    if steps_per_epoch < 1:
-        raise DataFormatError("not enough samples for a single batch")
     # the Adam updates of one step, in order: (loss, deformation seed tag)
     halves = [("supervised", None)]
     if use_ssl:

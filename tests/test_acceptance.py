@@ -111,7 +111,7 @@ def test_criterion_3_deformation_invariants_and_mixed_frequencies():
     three_sigma = 3.0 * math.sqrt(draws * (1 / 3) * (2 / 3))
     freq_ok = all(abs(c - draws / 3) <= three_sigma for c in counts.values())
 
-    mixed_spec = DeformSpec(kind="mixed", mixed_feature=DeformSpec(kind="feature", k_pts=40))
+    mixed_spec = DeformSpec(kind="mixed", k_pts=40)
     seen = set()
     for _ in range(60):
         pair = apply_deformation(rng.normal(scale=0.5, size=(128, 3)), mixed_spec, seed=rng)

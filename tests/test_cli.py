@@ -1,5 +1,6 @@
 """Command line interface: subcommand flows and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from pcda.cli import main
-from pcda.dataio import load_archive, load_cloud, load_tensors, save_cloud
+from pcda.cli import _from_args, build_parser, main
+from pcda.dataio import load_archive, load_cloud, load_tensors, save_cloud, save_tensors
+from pcda.deform import DeformSpec
+from pcda.synthbench import BenchConfig
+from pcda.training import TrainConfig
 
 from conftest import make_cloud
 
@@ -78,6 +82,70 @@ class TestUsageErrors:
         assert "usage error" in err
 
 
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestFlagsMapToFields:
+    def parse(self, *argv):
+        return build_parser().parse_args(list(argv))
+
+    def train_config(self, args):
+        return _from_args(
+            TrainConfig, args, task="classification", deform=_from_args(DeformSpec, args)
+        )
+
+    def test_no_optional_flags_give_the_defaults(self):
+        args = self.parse("train", "--bench", "b", "--out", "o")
+        assert self.train_config(args) == TrainConfig()
+        args = self.parse("gen-bench", "--out", "o")
+        assert _from_args(BenchConfig, args) == BenchConfig()
+        args = self.parse("deform", "--input", "i.xyz", "--out", "o.xyz")
+        assert _from_args(DeformSpec, args) == DeformSpec()
+
+    def test_every_dest_is_a_field(self):
+        args = vars(self.parse("train", "--bench", "b", "--out", "o"))
+        flags = set(args) - {"command", "func", "bench", "out", "config", "resume"}
+        assert flags == (field_names(TrainConfig) - {"task", "deform"}) | field_names(DeformSpec)
+        args = vars(self.parse("gen-bench", "--out", "o"))
+        assert set(args) - {"command", "func", "out"} == field_names(BenchConfig) - {"num_parts"}
+        args = vars(self.parse("deform", "--input", "i.xyz", "--out", "o.xyz"))
+        flags = set(args) - {"command", "func", "input", "out", "seed", "region_out"}
+        assert flags == field_names(DeformSpec)
+
+    def test_every_flag_spelling_parses(self):
+        args = self.parse(
+            "train", "--bench", "b", "--out", "o", "--epochs", "2", "--batch-size", "8",
+            "--lr", "0.01", "--weight-decay", "0", "--ssl-weight", "0.5", "--no-mixup",
+            "--alpha", "0.3", "--beta", "0.7", "--deform-domains", "source-and-target",
+            "--val-fraction", "0.1", "--no-augment", "--jitter-sigma", "0.02",
+            "--jitter-clip", "0.03", "--seed", "4", "--dtype", "float32",
+            "--kind", "mixed", "--voxel-k", "2", "--radius", "0.3", "--k-pts", "20",
+            "--feature-layer", "2", "--relocate-sigma", "0.1", "--cap-fraction", "0.4",
+        )
+        assert self.train_config(args) == TrainConfig(
+            epochs=2, batch_size=8, lr=0.01, weight_decay=0.0, ssl_weight=0.5,
+            use_mixup=False, mixup_alpha=0.3, mixup_beta=0.7,
+            deform=DeformSpec(kind="mixed", k=2, radius=0.3, layer=2, k_pts=20,
+                              relocate_sigma=0.1, sample_cap_fraction=0.4),
+            deform_domains="source-and-target", val_fraction=0.1, augment=False,
+            jitter_sigma=0.02, jitter_clip=0.03, seed=4, dtype="float32",
+        )
+        args = self.parse(
+            "gen-bench", "--out", "o", "--seed", "3", "--n-points", "64", "--classes", "4",
+            "--source-train", "5", "--source-test", "6", "--target-train", "7",
+            "--target-test", "8", "--occlusion", "0.3", "--scheme", "gradient",
+            "--density-bias", "1.5", "--keep-fraction", "0.9", "--target-jitter", "0.01",
+            "--segmentation",
+        )
+        assert _from_args(BenchConfig, args) == BenchConfig(
+            n_points=64, num_classes=4, source_train=5, source_test=6, target_train=7,
+            target_test=8, occlusion_fraction=0.3, corruption_scheme="gradient",
+            density_bias=1.5, keep_fraction=0.9, target_jitter=0.01, seed=3,
+            segmentation=True,
+        )
+
+
 class TestGenBench:
     def test_creates_archives_and_meta(self, bench_dir, capsys):
         names = {p.name for p in bench_dir.iterdir()}
@@ -141,6 +209,19 @@ class TestDeform:
         code, _, err = run_cli(
             capsys, "deform", "--input", str(tmp_path / "nope.xyz"),
             "--out", str(tmp_path / "o.xyz"),
+        )
+        assert code == 2
+        assert "data error" in err
+
+    @pytest.mark.parametrize("count", ["-5", "100000000000000"])
+    def test_malformed_ply_is_data_error(self, tmp_path, capsys, count):
+        src = tmp_path / "bad.ply"
+        src.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {count}\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n0 0 0\n"
+        )
+        code, _, err = run_cli(
+            capsys, "deform", "--input", str(src), "--out", str(tmp_path / "o.xyz"),
         )
         assert code == 2
         assert "data error" in err
@@ -228,6 +309,17 @@ class TestTrainEvalPerplexity:
         assert set(payload) == {"split", "accuracy", "cross_entropy", "count"}
         assert payload["count"] == 6
 
+    def test_eval_ignores_an_unreadable_meta_json(self, bench_dir, run_dir, tmp_path, capsys):
+        copy = tmp_path / "bench"
+        copy.mkdir()
+        (copy / "target_test.dfrc").write_bytes((bench_dir / "target_test.dfrc").read_bytes())
+        (copy / "meta.json").write_text("{not json")
+        code, stdout, _ = run_cli(
+            capsys, "eval", "--bench", str(copy), "--ckpt", str(run_dir / "best.ckpt"),
+        )
+        assert code == 0
+        assert last_json(stdout)["count"] == 6
+
     def test_perplexity_scores_and_feature_dump(self, bench_dir, run_dir, tmp_path, capsys):
         feats_path = tmp_path / "feats.tens"
         code, stdout, _ = run_cli(
@@ -246,6 +338,42 @@ class TestTrainEvalPerplexity:
         assert list(tensors["labels"]) == [0, 1, 2, 0, 1, 2]
         assert meta["split"] == "target_test"
 
+    @pytest.mark.parametrize(
+        "flags, says",
+        [
+            (["--alpha", "0"], "mixup_alpha"),
+            (["--beta", "-1"], "mixup_beta"),
+            (["--kind", "feature", "--feature-layer", "6"], "layer"),
+            (["--kind", "feature", "--feature-layer", "0"], "layer"),
+            (["--kind", "feature", "--k-pts", "48"], "k_pts"),
+            (["--kind", "mixed"], "k_pts"),  # the default k_pts=200 on 48 points
+            (["--jitter-sigma", "-0.1"], "jitter"),
+            (["--jitter-clip", "-0.1"], "jitter"),
+            (["--val-fraction", "0"], "validation"),
+        ],
+    )
+    def test_bad_config_exits_2_before_run_dir(self, bench_dir, tmp_path, capsys, flags, says):
+        out = tmp_path / "never"
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(out),
+            "--epochs", "1", "--batch-size", "4", *flags,
+        )
+        assert code == 2
+        assert says in err
+        assert not out.exists()
+
+    def test_mixed_with_small_k_pts_trains_on_64_points(self, tmp_path, capsys):
+        bench = tmp_path / "bench64"
+        flags = [f if f != "48" else "64" for f in BENCH_FLAGS]
+        assert main(["gen-bench", "--out", str(bench)] + flags) == 0
+        code, stdout, err = run_cli(
+            capsys, "train", "--bench", str(bench), "--out", str(tmp_path / "run"),
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32",
+            "--kind", "mixed", "--k-pts", "20",
+        )
+        assert code == 0, err
+        assert last_json(stdout)["epochs"] == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_numerical_blowup_is_exit_3(self, bench_dir, tmp_path, capsys):
         code, _, err = run_cli(
@@ -255,6 +383,18 @@ class TestTrainEvalPerplexity:
         )
         assert code == 3
         assert "numerical error" in err
+
+
+    def test_malformed_checkpoint_is_data_error(self, bench_dir, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        save_tensors(ckpt, {"param/w": np.zeros(2)}, {})
+        blob = ckpt.read_bytes().replace(b"<f8", b"<q9")
+        ckpt.write_bytes(blob)
+        code, _, err = run_cli(
+            capsys, "eval", "--bench", str(bench_dir), "--ckpt", str(ckpt),
+        )
+        assert code == 2
+        assert "data error" in err and "<q9" in err
 
 
 class TestSelftest:

@@ -46,19 +46,14 @@ class TestRoundTrip:
         save_run_config(path, cfg)
         assert load_run_config(path) == cfg
 
-    def test_mixed_deform_nested_specs_round_trip(self):
+    def test_mixed_deform_round_trips_with_its_own_fields(self):
         cfg = RunConfig(
             train=TrainConfig(
-                deform=DeformSpec(
-                    kind="mixed",
-                    mixed_volume=DeformSpec(kind="sphere", radius=0.4),
-                    mixed_feature=DeformSpec(kind="feature", k_pts=30, layer=1),
-                    mixed_sample=DeformSpec(kind="split"),
-                )
+                deform=DeformSpec(kind="mixed", k=2, layer=1, k_pts=30, relocate_sigma=0.0)
             )
         )
         again = run_config_from_json(run_config_to_json(cfg))
-        assert again.train.deform.mixed_volume.radius == 0.4
+        assert again.train.deform.k_pts == 30 and again.train.deform.layer == 1
         assert again == cfg
 
     def test_missing_sections_use_defaults(self):
@@ -79,6 +74,19 @@ class TestRejection:
     def test_unknown_nested_deform_key_names_path(self):
         with pytest.raises(DataFormatError, match=r"config\.train\.deform"):
             run_config_from_json('{"train": {"deform": {"kind": "sphere", "wobble": 2}}}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"train": {"deform": {"kind": "mixed", "mixed_volume": {"kind": "sphere"}}}}',
+            '{"train": {"deform": {"normals_k": 10}}}',
+            '{"train": {"adam_beta1": 0.9}}',
+            '{"bench": {"oversample": 2.0}}',
+        ],
+    )
+    def test_removed_fields_are_unknown_keys(self, text):
+        with pytest.raises(DataFormatError, match="unknown keys"):
+            run_config_from_json(text)
 
     def test_invalid_json(self):
         with pytest.raises(DataFormatError, match="invalid JSON"):

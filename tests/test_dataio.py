@@ -2,6 +2,7 @@
 container. Round trips must be exact and rejects must be line/byte addressed."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -231,3 +232,101 @@ class TestAtomicity:
         atomic_write_bytes(path, b"second")
         assert path.read_bytes() == b"second"
         assert sorted(os.listdir(tmp_path)) == ["out.bin"]
+
+
+def tens_blob(name=b"w", dtype=b"<f8", shape=(2,), payload=b"\0" * 16, meta=b"{}"):
+    """A one-tensor container assembled field by field."""
+    return b"".join([
+        TENSOR_MAGIC,
+        struct.pack("<HI", FORMAT_VERSION, 1),
+        struct.pack("<I", len(meta)), meta,
+        struct.pack("<H", len(name)), name,
+        struct.pack("<H", len(dtype)), dtype,
+        struct.pack("<H", len(shape)), struct.pack(f"<{len(shape)}q", *shape),
+        payload,
+    ])
+
+
+PLY_HEAD = "ply\nformat ascii 1.0\n"
+PLY_PROPS = "property float x\nproperty float y\nproperty float z\nend_header\n"
+
+
+class TestMalformed:
+    def test_tens_blob_helper_matches_writer(self, tmp_path):
+        save_tensors(tmp_path / "t.tens", {"w": np.zeros(2)}, {})
+        assert (tmp_path / "t.tens").read_bytes() == tens_blob()
+
+    @pytest.mark.parametrize(
+        "blob, says",
+        [
+            (tens_blob(dtype=b"<q9"), "<q9"),
+            (tens_blob(dtype=b"|O"), "dtype"),
+            (tens_blob(dtype=b"<M8"), "dtype"),
+            (tens_blob(dtype=b"\xff8"), "header"),
+            (tens_blob(name=b"\xff\xfe"), "header"),
+            (tens_blob(shape=(-1, 2)), "negative"),
+            (tens_blob(shape=(2**62, 2**62)), "truncated"),
+            (tens_blob(shape=(0, 2**62, 2**62), payload=b""), "too big"),
+            (tens_blob(meta=b"[1]"), "metadata"),
+        ],
+        ids=["unknown-dtype", "object-dtype", "datetime-dtype", "non-ascii-dtype",
+             "non-utf8-name", "negative-dim", "huge-dims", "empty-huge-dims", "meta-not-object"],
+    )
+    def test_bad_tensor_container(self, tmp_path, blob, says):
+        path = tmp_path / "bad.tens"
+        path.write_bytes(blob)
+        with pytest.raises(DataFormatError, match=says):
+            load_tensors(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["element vertex -5\n", "element vertex 100000000000000\n", "element\n"],
+        ids=["negative-count", "huge-count", "bare-element"],
+    )
+    def test_bad_ply_header(self, tmp_path, header):
+        path = tmp_path / "bad.ply"
+        path.write_text(PLY_HEAD + header + PLY_PROPS + "0 0 0\n")
+        with pytest.raises(DataFormatError):
+            load_ply(path)
+
+
+def _valid_blobs(root):
+    rng = np.random.default_rng(5)
+    save_tensors(root / "f.tens", {"a": rng.normal(size=(2, 3)), "b": np.arange(3)}, {"k": 1})
+    seg = Dataset(
+        samples=[SegLabeledCloud(points=rng.normal(size=(4, 3)), labels=np.array([0, 1, 1, 0]))],
+        num_classes=2,
+    )
+    save_archive(root / "f.dfrc", seg)
+    save_ply(root / "f.ply", rng.normal(size=(3, 3)))
+    save_xyz(root / "f.xyz", rng.normal(size=(3, 3)))
+    return {ext: (root / f"f{ext}").read_bytes() for ext in (".tens", ".dfrc", ".ply", ".xyz")}
+
+
+LOADERS = {".tens": load_tensors, ".dfrc": load_archive, ".ply": load_ply, ".xyz": load_xyz}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, _valid_blobs(root)
+
+
+@pytest.mark.parametrize("ext", sorted(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_files_raise_only_data_format_error(fuzz_dir, ext, data):
+    root, blobs = fuzz_dir
+    blob = bytearray(blobs[ext])
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(blob) - 1), label="at")
+            blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = root / f"damaged{ext}"
+    path.write_bytes(bytes(blob))
+    try:
+        LOADERS[ext](path)
+    except DataFormatError:
+        pass

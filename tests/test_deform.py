@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from pcda.deform import (
     FAMILIES,
     KINDS,
+    MIXED_KINDS,
     DeformSpec,
     apply_deformation,
     deform_feature_knn,
     deform_sample,
     deform_sphere,
     deform_voxel,
-    default_family_specs,
     pick_mixed_family,
     sample_region,
 )
@@ -204,27 +204,55 @@ class TestMixed:
         for f in FAMILIES:
             assert abs(counts[f] - draws / 3) <= 3 * sigma
 
-    def test_mixed_dispatches_to_configured_variants(self):
+    @staticmethod
+    def drawn_kind(seed):
+        # the family draw comes first on the generator, then the variant's own draws
+        rng = np.random.default_rng(seed)
+        return MIXED_KINDS[pick_mixed_family(rng)], rng
+
+    def test_mixed_applies_its_own_fields_per_family(self):
         spec = DeformSpec(
-            kind="mixed",
-            mixed_volume=DeformSpec(kind="sphere", radius=0.5),
-            mixed_feature=DeformSpec(kind="feature", k_pts=9, layer=3),
-            mixed_sample=DeformSpec(kind="gradient"),
+            kind="mixed", k_pts=9, k=2, relocate_sigma=0.0, sample_cap_fraction=0.25
         )
         pts = make_cloud(11, 48)
         seen = set()
         for seed in range(60):
             pair = apply_deformation(pts, spec, seed=seed)
             check_pair_invariants(pair, pts)
-            seen.add(pair.kind)
-        assert seen == {"sphere", "feature", "gradient"}
+            kind, rng = self.drawn_kind(seed)
+            assert pair.kind == kind
+            seen.add(kind)
+            # relocate_sigma=0.0 puts every region point exactly on the center
+            assert (pair.deformed[pair.region] == pair.region_center).all()
+            if kind == "feature":
+                assert len(pair.region) == 9
+                want = deform_feature_knn(pts, pts, k_pts=9, relocate_sigma=0.0, seed=rng)
+            elif kind == "voxel":
+                want = deform_voxel(pts, k=2, relocate_sigma=0.0, seed=rng)
+            else:
+                assert len(pair.region) <= int(np.ceil(0.25 * 48))
+                want = deform_sample(
+                    pts, "split", sample_cap_fraction=0.25, relocate_sigma=0.0, seed=rng
+                )
+            assert np.array_equal(pair.region, want.region)
+            assert np.array_equal(pair.deformed, want.deformed)
+        assert seen == {"voxel", "feature", "split"}
 
-    def test_mixed_defaults_cover_three_families(self):
-        defaults = default_family_specs()
-        assert set(defaults) == set(FAMILIES)
-        assert defaults["volume"].kind == "voxel" and defaults["volume"].k == 3
-        assert defaults["feature"].k_pts == 200 and defaults["feature"].layer == 3
-        assert defaults["sample"].kind == "split"
+    def test_mixed_defaults_draw_the_family_defaults(self):
+        defaults = {
+            "voxel": DeformSpec(kind="voxel", k=3),
+            "feature": DeformSpec(kind="feature", k_pts=200, layer=3),
+            "split": DeformSpec(kind="split"),
+        }
+        assert set(MIXED_KINDS) == set(FAMILIES)
+        pts = make_cloud(12, 256)
+        for seed in range(30):
+            pair = apply_deformation(pts, DeformSpec(kind="mixed"), seed=seed)
+            kind, rng = self.drawn_kind(seed)
+            want = apply_deformation(pts, defaults[kind], seed=rng)
+            assert pair.kind == kind
+            assert np.array_equal(pair.region, want.region)
+            assert np.array_equal(pair.deformed, want.deformed)
 
 
 class TestSpecValidation:
@@ -248,6 +276,11 @@ class TestSpecValidation:
             dict(kind="feature", k_pts=0),
             dict(kind="split", sample_cap_fraction=0.0),
             dict(kind="voxel", relocate_sigma=-1.0),
+            dict(kind="feature", layer=0),
+            dict(kind="feature", layer=6),
+            dict(kind="mixed", layer=6),
+            dict(kind="mixed", k=0),
+            dict(kind="mixed", k_pts=0),
         ],
     )
     def test_invalid_spec_rejected(self, kw):

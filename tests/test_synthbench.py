@@ -264,7 +264,7 @@ class TestBenchConfigValidation:
             dict(n_points=4),
             dict(num_classes=1),
             dict(num_classes=9),
-            dict(oversample=1.0),
+            dict(source_train=0),
             dict(occlusion_fraction=1.0),
             dict(keep_fraction=0.0),
             dict(target_jitter=-0.1),

@@ -327,6 +327,10 @@ class TestTrainConfigValidation:
             dict(epochs=0),
             dict(ssl_weight=-0.5),
             dict(val_fraction=1.0),
+            dict(mixup_alpha=0.0),
+            dict(mixup_beta=-1.0),
+            dict(jitter_sigma=-0.01),
+            dict(jitter_clip=-0.01),
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -337,3 +341,35 @@ class TestTrainConfigValidation:
         cfg = tiny_config()
         again = dataclasses.replace(cfg, lr=5e-4)
         assert again.lr == 5e-4 and again.epochs == cfg.epochs
+
+
+class TestRejectBeforeRunDir:
+    """Inputs a run could not complete with are refused before run_dir exists."""
+
+    @pytest.mark.parametrize(
+        "kw, n_src, n_tgt",
+        [
+            (dict(deform=DeformSpec(kind="feature", k_pts=24)), 40, 24),
+            (dict(deform=DeformSpec(kind="mixed")), 40, 40),  # the default k_pts=200
+            (dict(deform=DeformSpec(kind="mixed", k_pts=30),
+                  deform_domains="source-and-target"), 24, 40),
+            (dict(val_fraction=0.0), 24, 24),
+            (dict(batch_size=64), 24, 24),
+        ],
+        ids=["feature-k_pts", "mixed-default-k_pts", "source-k_pts", "empty-val", "big-batch"],
+    )
+    def test_rejected_without_run_dir(self, tmp_path, kw, n_src, n_tgt):
+        run_dir = tmp_path / "run"
+        with pytest.raises(DataFormatError):
+            train(
+                tiny_cls_dataset(0, n=n_src), tiny_cls_dataset(1, n=n_tgt),
+                tiny_config(**kw), str(run_dir),
+            )
+        assert not run_dir.exists()
+
+    def test_mixed_with_small_k_pts_trains(self, tmp_path):
+        src = tiny_cls_dataset(0)
+        tgt = tiny_cls_dataset(1)
+        cfg = tiny_config(epochs=1, deform=DeformSpec(kind="mixed", k_pts=5))
+        res = train(src, tgt, cfg, str(tmp_path / "mixed"))
+        assert res.metrics[0]["ssl_loss"] is not None
