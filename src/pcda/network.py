@@ -14,6 +14,13 @@ permutation invariant. Heads:
 Forward and backward passes are written out explicitly; gradients are pinned
 against central finite differences in the test suite. All arrays follow the
 parameter dtype (float64 by default, float32 supported for speed).
+
+Layer 5 is fused with the max-pool one cloud at a time, so its per-point
+activations are not kept: the trace holds layers 1-4, the global feature and
+the argmax row of each channel. Only those rows get a gradient through the
+pool, so the encoder backward runs on the argmax rows: all five layers with
+the sup head alone, layer 5 only when rec or seg add a dense layer-4
+gradient.
 """
 
 from __future__ import annotations
@@ -107,23 +114,33 @@ def _encode(params, x, layers: int) -> list:
     return acts
 
 
-def _max_pool_argmax(a5):
-    """For (B, n, C) activations, the (B, C) row index of each column's
-    maximum, the first (lowest) one on ties as np.argmax(axis=1) gives.
+def _layer5_max_pool(params, a4):
+    """Layer 5 fused with the max-pool, one cloud at a time: for (B, n, 256)
+    layer-4 activations, the (B, 1024) global feature and the (B, 1024) row
+    of each channel's maximum, the first (lowest) one on ties as
+    np.argmax(axis=0) gives.
 
-    Works one cloud at a time on the contiguous rows, which is several
-    times faster than np.argmax along the strided point axis. Raises
-    NumericalError if a maximum is not finite (NaN or inf).
+    Each cloud's (n, 1024) block of layer-5 activations is built, pooled
+    and dropped, so the batch's per-point layer-5 activations never exist.
+    Raises NumericalError if a maximum is not finite (NaN or inf).
     """
-    B, n, C = a5.shape
+    B, n, _ = a4.shape
+    w5, b5 = params["enc5_w"], params["enc5_b"]
     rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
-    argmax = np.empty((B, C), dtype=np.intp)
+    channels = np.arange(GLOBAL_DIM)
+    z = np.empty((n, GLOBAL_DIM), dtype=w5.dtype)
+    g = np.empty((B, GLOBAL_DIM), dtype=w5.dtype)
+    argmax = np.empty((B, GLOBAL_DIM), dtype=np.intp)
     for b in range(B):
-        top = a5[b].max(axis=0)  # NaN if the column holds one
+        np.matmul(a4[b], w5, out=z)
+        z += b5
+        np.maximum(z, 0.0, out=z)
+        top = z.max(axis=0)  # NaN if the column holds one
         if not np.isfinite(top).all():
             raise NumericalError("numerical overflow in encoder activations")
-        argmax[b] = n - ((a5[b] == top) * rank).max(axis=0)
-    return argmax
+        argmax[b] = n - ((z == top) * rank).max(axis=0)
+        g[b] = z[argmax[b], channels]
+    return g, argmax
 
 
 def point_features(params: dict, clouds, layer: int) -> np.ndarray:
@@ -159,10 +176,8 @@ def forward_pass(
     drop_rng = as_rng(dropout_seed) if mode == "train" else None
 
     x = batch.reshape(B * n, 3)
-    acts = _encode(params, x, len(ENCODER_WIDTHS))
-    a5 = acts[-1].reshape(B, n, GLOBAL_DIM)
-    argmax = _max_pool_argmax(a5)
-    g = np.take_along_axis(a5, argmax[:, None, :], axis=1)[:, 0, :]
+    acts = _encode(params, x, len(ENCODER_WIDTHS) - 1)
+    g, argmax = _layer5_max_pool(params, acts[3].reshape(B, n, -1))
 
     outputs = {"global": g[0] if single else g}
     trace = {
@@ -277,25 +292,33 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
         if da4 is not None:
             da4_extra = da4 if da4_extra is None else da4_extra + da4
 
-    # max-pool: route the global-feature gradient to the argmax rows; layer
-    # 5's activation there is the global feature, so its ReLU gate is g > 0
-    # and is applied before the scatter (every other row stays zero)
-    dg *= trace["global"] > 0
-    da5 = np.zeros((B, n, GLOBAL_DIM), dtype=dtype)
-    np.put_along_axis(da5, trace["argmax"][:, None, :], dg[:, None, :], axis=1)
-    dh = da5.reshape(B * n, GLOBAL_DIM)
+    # max-pool: only the argmax row of each channel carries a gradient, and
+    # layer 5's activation there is the global feature, so its ReLU gate is
+    # g > 0; compact the live (row, channel) pairs into (rows, 1024)
+    live = trace["global"] > 0
+    dg *= live
+    flat = trace["argmax"] + (np.arange(B) * n)[:, None]
+    rows, slot = np.unique(flat[live], return_inverse=True)
+    dh5 = np.zeros((len(rows), GLOBAL_DIM), dtype=dtype)
+    dh5[slot, np.nonzero(live)[1]] = dg[live]  # each (row, channel) pair is unique
 
-    acts = trace["acts"]
-    inputs = [trace["x"]] + acts[:-1]
-    for i in range(len(ENCODER_WIDTHS), 0, -1):
-        if i < len(ENCODER_WIDTHS):
-            dh *= acts[i - 1] > 0
-        grads[f"enc{i}_w"] += inputs[i - 1].T @ dh
+    ins = [trace["x"], *trace["acts"]]  # inputs of layers 1-5
+    a4_rows = ins[4][rows]
+    grads["enc5_w"] += a4_rows.T @ dh5
+    grads["enc5_b"] += dg.sum(axis=0)
+    dh = dh5 @ params["enc5_w"].T
+    if da4_extra is None:
+        # sup alone: every other row's gradient stays zero down to layer 1
+        ins = [a[rows] for a in ins[:4]] + [a4_rows]
+    else:
+        da4_extra[rows] += dh
+        dh = da4_extra
+    for i in range(len(ENCODER_WIDTHS) - 1, 0, -1):
+        dh *= ins[i] > 0
+        grads[f"enc{i}_w"] += ins[i - 1].T @ dh
         grads[f"enc{i}_b"] += dh.sum(axis=0)
         if i > 1:
             dh = dh @ params[f"enc{i}_w"].T
-            if i - 1 == 4 and da4_extra is not None:
-                dh += da4_extra
     return grads
 
 

@@ -44,6 +44,7 @@ _SRC_PERM, _TGT_PERM, _SUP_AUG, _MIX, _DROP, _TGT_AUG, _TGT_DEF, _SRC_DEF = rang
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_CHUNK = 1 << 16  # elements per in-cache Adam chunk
 
 
 def _seed(*parts) -> np.random.SeedSequence:
@@ -112,21 +113,37 @@ def init_adam(params: dict) -> AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float, cfg: TrainConfig):
     """One Adam update in place. Weight decay is classic L2, added to the
-    gradient before the moment updates."""
+    gradient before the moment updates.
+
+    Each parameter is updated in chunks of ADAM_CHUNK elements whose
+    temporaries go to cache-sized scratch buffers, in the dtypes and order
+    of operations of `p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)`: a
+    float64 `lr` still scales a float32 step in float64."""
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for k, p in params.items():
-        g = grads[k]
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * p
-        m, v = state.m[k], state.v[k]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    dtype = np.result_type(*params.values())
+    step_dtype = np.result_type(lr, dtype)
+    bufs = np.empty((2, ADAM_CHUNK), dtype=dtype)
+    step_buf = bufs[0] if step_dtype == dtype else np.empty(ADAM_CHUNK, dtype=step_dtype)
+    for k, param in params.items():
+        flat = [a.reshape(-1) for a in (param, grads[k], state.m[k], state.v[k])]
+        for lo in range(0, param.size, ADAM_CHUNK):
+            p, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in flat)
+            tmp, tmp2, step = bufs[0, : p.size], bufs[1, : p.size], step_buf[: p.size]
+            if cfg.weight_decay:
+                g = np.add(g, np.multiply(cfg.weight_decay, p, out=tmp), out=tmp)
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=tmp2)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=tmp2)
+            v += np.multiply(tmp2, g, out=tmp2)
+            np.multiply(lr, np.divide(m, c1, out=tmp), out=step)
+            np.divide(v, c2, out=tmp2)
+            np.sqrt(tmp2, out=tmp2)
+            tmp2 += eps
+            p -= np.divide(step, tmp2, out=step)
 
 
 def stratified_split(labels, val_fraction: float, seed):
@@ -234,16 +251,22 @@ def load_checkpoint(path):
         if group not in groups:
             raise DataFormatError(f"{path}: unexpected tensor group {group!r}")
         groups[group][key] = arr
-    if not params or params.keys() != m.keys():
-        raise DataFormatError(f"{path}: incomplete checkpoint")
-    adam = AdamState(m=m, v=v, t=int(meta.get("adam_t", 0)))
-    return params, best, adam, meta
+    if not params or any(
+        g.keys() != params.keys()
+        or any((g[k].shape, g[k].dtype) != (p.shape, p.dtype) for k, p in params.items())
+        for g in groups.values()
+    ):
+        raise DataFormatError(f"{path}: incomplete checkpoint or mismatched groups")
+    t = meta.get("adam_t")
+    if type(t) is not int or t < 0:
+        raise DataFormatError(f"{path}: adam_t must be a non-negative integer, got {t!r}")
+    return params, best, AdamState(m=m, v=v, t=t), meta
 
 
 def load_params(path) -> tuple:
     """Best-scoring parameters from a checkpoint, with its metadata."""
-    params, best, _, meta = load_checkpoint(path)
-    return (best or params), meta
+    _, best, _, meta = load_checkpoint(path)
+    return best, meta
 
 
 # -- the training loop -----------------------------------------------------
@@ -527,9 +550,12 @@ def train(
             "dtype": cfg.dtype,
             "config": json.loads(config_blob),
         }
-        blob = save_checkpoint(last_path, params, best_params, adam, meta)
+        # best.ckpt first: a run killed between the two files resumes from
+        # the previous last.ckpt, re-runs this epoch and rewrites both
+        first = best_path if is_best else last_path
+        blob = save_checkpoint(first, params, best_params, adam, meta)
         if is_best:
-            atomic_write_bytes(best_path, blob)
+            atomic_write_bytes(last_path, blob)
         del blob  # a whole checkpoint; not to be held through the next epoch
 
     return TrainResult(

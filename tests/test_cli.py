@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -395,6 +396,26 @@ class TestTrainEvalPerplexity:
         )
         assert code == 2
         assert "data error" in err and "<q9" in err
+
+    @pytest.mark.parametrize("damage", ["no adam_v", "x", -1])
+    def test_damaged_checkpoint_is_data_error(self, bench_dir, run_dir, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        tensors, meta = load_tensors(run / "last.ckpt")
+        if damage == "no adam_v":
+            tensors = {k: v for k, v in tensors.items() if not k.startswith("adam_v/")}
+        else:
+            meta["adam_t"] = damage
+        save_tensors(run / "last.ckpt", tensors, meta)
+        code, _, err = run_cli(
+            capsys, "eval", "--bench", str(bench_dir), "--ckpt", str(run / "last.ckpt"),
+        )
+        assert code == 2 and "data error" in err
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(run), "--resume",
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
+        )
+        assert code == 2 and ("incomplete" in err or "adam_t" in err)
 
 
 class TestSelftest:

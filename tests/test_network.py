@@ -11,6 +11,7 @@ from pcda.network import (
     GLOBAL_DIM,
     HEAD_HIDDEN,
     HEAD_IN_DIM,
+    HEAD_OUTPUTS,
     POINT_FEAT_DIM,
     SUP_HIDDEN,
     backward,
@@ -23,6 +24,7 @@ from pcda.network import (
     segmentation_loss_and_grads,
     softmax_cross_entropy,
     zeros_like_params,
+    _head_backward,
 )
 from pcda.selfcheck import (
     check_network_gradients,
@@ -113,8 +115,8 @@ class TestForward:
 
     def test_global_is_max_over_points(self, params_cls):
         pts = make_cloud(2, 25)
-        out, trace = forward_pass(params_cls, pts, heads=())
-        per_point = trace["acts"][-1].reshape(25, GLOBAL_DIM)
+        out, _ = forward_pass(params_cls, pts, heads=())
+        per_point = point_features(params_cls, pts, 5).reshape(25, GLOBAL_DIM)
         assert np.array_equal(out["global"], per_point.max(axis=0))
 
     def test_eval_mode_deterministic(self, params_cls):
@@ -153,12 +155,17 @@ class TestForward:
     def test_point_features_match_forward_activations(self, dtype):
         params = init_params(3, seed=4, dtype=dtype)
         clouds = np.stack([make_cloud(i, 20) for i in range(3)])
-        _, trace = forward_pass(params, clouds, heads=())
-        for layer in range(1, len(ENCODER_WIDTHS) + 1):
+        out, trace = forward_pass(params, clouds, heads=())
+        for layer in range(1, len(ENCODER_WIDTHS)):
             feats = point_features(params, clouds, layer)
             want = trace["acts"][layer - 1].reshape(3, 20, -1).astype(np.float64)
             assert feats.dtype == np.float64
             assert np.array_equal(feats, want)
+        # layer 5 is pooled cloud by cloud and not kept: compare its max-pool
+        feats = point_features(params, clouds, len(ENCODER_WIDTHS))
+        assert feats.dtype == np.float64
+        assert np.array_equal(feats.max(axis=1), out["global"].astype(np.float64))
+        assert np.array_equal(feats.argmax(axis=1), trace["argmax"])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_max_pool_argmax_is_first_maximum(self, dtype):
@@ -168,7 +175,7 @@ class TestForward:
         clouds[:, 20:] = clouds[:, :20]
         clouds[1] = clouds[1, 0]
         _, trace = forward_pass(params, clouds, heads=())
-        a5 = trace["acts"][-1].reshape(4, 40, GLOBAL_DIM)
+        a5 = point_features(params, clouds, 5)
         assert (a5 == 0).all(axis=1).any()  # some all-zero (tied) columns
         assert np.array_equal(trace["argmax"], a5.argmax(axis=1))
 
@@ -197,7 +204,112 @@ class TestForward:
         assert out["logits"].dtype == np.float32
 
 
+def dense_backward(params, trace, **upstream):
+    """The encoder backward before the sparse max-pool, kept as a reference:
+    scatter the gated global gradient into dense (B*n, 1024) zeros and run
+    all five encoder layers on every row."""
+    dtype = param_dtype(params)
+    B, n = trace["B"], trace["n"]
+    grads = zeros_like_params(params)
+    dg = np.zeros((B, GLOBAL_DIM), dtype=dtype)
+    da4_extra = None
+    for head, key in (("sup", "dlogits"), ("rec", "drecon"), ("seg", "dseg_logits")):
+        if upstream.get(key) is None:
+            continue
+        d = np.asarray(upstream[key], dtype=dtype)
+        if trace["single"]:
+            d = d[None]
+        if head != "sup":
+            d = d.reshape(B * n, -1)
+        dgh, da4 = _head_backward(
+            params, head, trace[head], d, trace["global"], trace["acts"][3], B, n, grads
+        )
+        dg += dgh
+        if da4 is not None:
+            da4_extra = da4 if da4_extra is None else da4_extra + da4
+    dg *= trace["global"] > 0
+    da5 = np.zeros((B, n, GLOBAL_DIM), dtype=dtype)
+    np.put_along_axis(da5, trace["argmax"][:, None, :], dg[:, None, :], axis=1)
+    dh = da5.reshape(B * n, GLOBAL_DIM)
+    acts = trace["acts"]
+    inputs = [trace["x"]] + acts
+    for i in range(len(ENCODER_WIDTHS), 0, -1):
+        if i < len(ENCODER_WIDTHS):
+            dh *= acts[i - 1] > 0
+        grads[f"enc{i}_w"] += inputs[i - 1].T @ dh
+        grads[f"enc{i}_b"] += dh.sum(axis=0)
+        if i > 1:
+            dh = dh @ params[f"enc{i}_w"].T
+            if i - 1 == 4 and da4_extra is not None:
+                dh += da4_extra
+    return grads
+
+
+def pin_clouds(case):
+    """Inputs of the sparse-vs-dense pin: (clouds, batched)."""
+    rng = np.random.default_rng(7)
+    if case == "single":
+        return rng.uniform(-0.5, 0.5, size=(30, 3)), False
+    if case == "b1":
+        return rng.uniform(-0.5, 0.5, size=(1, 30, 3)), True
+    # repeated points tie activations; one all-equal cloud ties every row
+    # and leaves dead (all-zero) columns
+    clouds = rng.uniform(-0.5, 0.5, size=(4, 40, 3))
+    clouds[:, 20:] = clouds[:, :20]
+    clouds[1] = clouds[1, 0]
+    return clouds, True
+
+
+def walk_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from walk_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from walk_arrays(value)
+
+
 class TestBackward:
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", ["ties", "single", "b1"])
+    @pytest.mark.parametrize("heads", [("sup",), ("rec",), ("seg",), ("sup", "rec")])
+    def test_sparse_matches_dense_reference(self, dtype, tol, case, heads):
+        task = "segmentation" if "seg" in heads else "classification"
+        params = init_params(3, task=task, seed=5, dtype=dtype)
+        clouds, batched = pin_clouds(case)
+        out, trace = forward_pass(params, clouds, mode="train", heads=heads, dropout_seed=2)
+        if case == "ties":
+            a5 = point_features(params, clouds, 5)
+            assert (a5 == 0).all(axis=1).any()  # dead channels
+            assert ((a5 == a5.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties
+        rng = np.random.default_rng(3)
+        keys = {"sup": "dlogits", "rec": "drecon", "seg": "dseg_logits"}
+        upstream = {
+            keys[h]: rng.normal(size=out[HEAD_OUTPUTS[h]].shape) for h in heads
+        }
+        got = backward(params, trace, **upstream)
+        want = dense_backward(params, trace, **upstream)
+        assert set(got) == set(want)
+        for k in want:
+            scale = max(np.abs(want[k]).max(), np.finfo(dtype).tiny)
+            err = np.abs(got[k] - want[k]).max() / scale
+            assert err <= tol, f"{k}: relative difference {err:.2e}"
+        assert np.abs(got["enc1_w"]).max() > 0
+
+    @pytest.mark.parametrize("heads", [("sup", "rec"), ("seg", "rec")])
+    def test_trace_keeps_no_layer5_activations(self, heads):
+        task = "segmentation" if "seg" in heads else "classification"
+        params = init_params(3, task=task, seed=0, dtype=np.float32)
+        B, n = 3, 50
+        clouds = np.stack([make_cloud(i, n) for i in range(B)])
+        _, trace = forward_pass(params, clouds, mode="train", heads=heads, dropout_seed=1)
+        del trace["params_ref"]
+        assert len(trace["acts"]) == len(ENCODER_WIDTHS) - 1
+        for arr in walk_arrays(trace):
+            assert arr.size != B * n * GLOBAL_DIM, f"a {arr.shape} array in the trace"
+
     def test_trace_params_mismatch_rejected(self, params_cls):
         _, trace = forward_pass(params_cls, make_cloud(0, 8), heads=("sup",))
         other = init_params(3, seed=1)

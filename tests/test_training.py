@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcda.cloud import LabeledCloud, SegLabeledCloud
-from pcda.dataio import Dataset
+from pcda.dataio import Dataset, load_tensors, save_tensors
 from pcda.deform import DeformSpec
 from pcda.errors import DataFormatError
 from pcda.network import init_params
 from pcda.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_CHUNK,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -113,6 +117,33 @@ class TestAdam:
         assert params["w"][0] == pytest.approx(-0.02, abs=1e-9)
         assert state.t == 2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_plain_update_bitwise(self, dtype):
+        # the whole-array expression is the reference; tensors span several
+        # chunks, and cosine_lr's float64 rate scales a float32 step in float64
+        rng = np.random.default_rng(0)
+        shapes = {"w": (3, ADAM_CHUNK + 5), "b": (7,)}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m, v = init_adam(params).m, init_adam(params).v
+        state = init_adam(params)
+        cfg = tiny_config(weight_decay=5e-5)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+            lr = cosine_lr(1e-3, t, 10) if t < 3 else 1e-3
+            adam_step(params, grads, state, lr, cfg)
+            for k, p in ref.items():
+                g = grads[k] + cfg.weight_decay * p
+                m[k] *= b1
+                m[k] += (1.0 - b1) * g
+                v[k] *= b2
+                v[k] += (1.0 - b2) * g * g
+                p -= lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v[k] / (1.0 - b2**t)) + ADAM_EPS)
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+
     def test_zero_weight_decay_leaves_gradient_untouched(self):
         cfg = tiny_config(weight_decay=0.0)
         params = {"w": np.array([3.0])}
@@ -206,11 +237,28 @@ class TestCheckpoints:
         assert np.array_equal(loaded["enc1_w"], best["enc1_w"])
 
     def test_unknown_group_rejected(self, tmp_path):
-        from pcda.dataio import save_tensors
-
         path = tmp_path / "c.ckpt"
         save_tensors(path, {"mystery/x": np.ones(3)}, {})
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    def test_missing_adam_v_group_rejected(self, tmp_path):
+        params = init_params(3, seed=0)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, params, init_adam(params), {"epoch": 0})
+        tensors, meta = load_tensors(path)
+        save_tensors(path, {k: v for k, v in tensors.items() if not k.startswith("adam_v/")}, meta)
+        with pytest.raises(DataFormatError, match="incomplete"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("adam_t", ["x", -1, 2.5, True, None])
+    def test_bad_adam_t_rejected(self, tmp_path, adam_t):
+        params = init_params(3, seed=0)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, params, init_adam(params), {"epoch": 0})
+        tensors, meta = load_tensors(path)
+        save_tensors(path, tensors, {**meta, "adam_t": adam_t})
+        with pytest.raises(DataFormatError, match="adam_t"):
             load_checkpoint(path)
 
 
@@ -258,6 +306,40 @@ class TestTrainLoop:
             assert (tmp_path / "full" / name).read_bytes() == (
                 tmp_path / "part" / name
             ).read_bytes(), f"{name} differs after resume"
+
+    def test_kill_between_checkpoint_files_resumes_byte_identical(self, tmp_path, monkeypatch):
+        # an improving epoch writes two checkpoint files; stop the run right
+        # after the first one lands, as a kill would, then resume
+        src = tiny_cls_dataset(0, count=30)
+        tgt = tiny_cls_dataset(1, count=30)
+        cfg = tiny_config(epochs=4, lr=3e-3, seed=1)
+        full = train(src, tgt, cfg, str(tmp_path / "full"))
+        best = [rec["best"] for rec in full.metrics]
+        epoch = max(e for e, b in enumerate(best) if b)
+        assert epoch > 0, "the run needs an improving epoch after the first"
+        kill_at = sum(1 + b for b in best[:epoch]) + 1  # checkpoint files written so far
+
+        class Killed(Exception):
+            pass
+
+        real_replace, written = os.replace, []
+
+        def replace_then_kill(src_path, dst_path):
+            real_replace(src_path, dst_path)
+            if str(dst_path).endswith(".ckpt"):
+                written.append(dst_path)
+                if len(written) == kill_at:
+                    raise Killed
+
+        monkeypatch.setattr(os, "replace", replace_then_kill)
+        with pytest.raises(Killed):
+            train(src, tgt, cfg, str(tmp_path / "part"))
+        monkeypatch.setattr(os, "replace", real_replace)
+        train(src, tgt, cfg, str(tmp_path / "part"), resume=True)
+        for name in ("metrics.jsonl", "last.ckpt", "best.ckpt"):
+            assert (tmp_path / "full" / name).read_bytes() == (
+                tmp_path / "part" / name
+            ).read_bytes(), f"{name} differs after a kill and resume"
 
     def test_resume_with_changed_config_rejected(self, tmp_path):
         src = tiny_cls_dataset(0)
