@@ -41,6 +41,21 @@ def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(forward + backward)
 
 
+def check_region(region, n: int) -> np.ndarray:
+    """A deformation region as an int64 index array into a cloud of n
+    points: non-empty, in range and without repeats, else DataFormatError."""
+    region = np.asarray(region, dtype=np.int64)
+    if region.ndim != 1:
+        raise DataFormatError(f"region must be one index array, got shape {region.shape}")
+    if region.size == 0:
+        raise DataFormatError("empty deformation region")
+    if region.min() < 0 or region.max() >= n:
+        raise DataFormatError("region indices out of range")
+    if len(np.unique(region)) != len(region):
+        raise DataFormatError("region indices must be unique")
+    return region
+
+
 def chamfer_loss_region(
     pred: np.ndarray, target: np.ndarray, region: np.ndarray
 ) -> ChamferResult:
@@ -59,13 +74,7 @@ def chamfer_loss_region(
         raise DataFormatError(
             f"pred shape {pred.shape} does not match target shape {target.shape}"
         )
-    region = np.asarray(region, dtype=np.int64)
-    if region.size == 0:
-        raise DataFormatError("empty deformation region")
-    if region.min() < 0 or region.max() >= len(target):
-        raise DataFormatError("region indices out of range")
-    if len(np.unique(region)) != len(region):
-        raise DataFormatError("region indices must be unique")
+    region = check_region(region, len(target))
 
     t = target[region]  # (m, 3)
     p = pred[region]  # (m, 3)

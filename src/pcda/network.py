@@ -18,9 +18,12 @@ parameter dtype (float64 by default, float32 supported for speed).
 Layer 5 is fused with the max-pool one cloud at a time, so its per-point
 activations are not kept: the trace holds layers 1-4, the global feature and
 the argmax row of each channel. Only those rows get a gradient through the
-pool, so the encoder backward runs on the argmax rows: all five layers with
-the sup head alone, layer 5 only when rec or seg add a dense layer-4
-gradient.
+pool, so layer 5's backward runs on the argmax rows, and layers 4-1 on those
+rows plus the rows a per-point head sends a gradient to. The per-point heads
+run on a set of rows. forward_pass gives them every point, so eval and seg
+stay dense. The training reconstruction loss reads only the deformed region,
+so it runs the rec head on the region rows alone, and layers 4-1 on the
+region and argmax rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import as_rng
-from .chamfer import chamfer_loss_region
+from .chamfer import check_region, chamfer_loss_region
 from .errors import DataFormatError, NumericalError
 
 ENCODER_WIDTHS = (64, 64, 128, 256, 1024)
@@ -48,37 +51,43 @@ def _glorot(rng, fan_in, fan_out, dtype):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
-def init_params(
-    num_classes: int,
-    task: str = "classification",
-    seed=None,
-    dtype=np.float64,
-) -> dict:
-    """Initialize all weights (uniform Glorot) and biases (zero).
+def param_shapes(num_classes: int, task: str = "classification") -> dict:
+    """Name -> shape of every parameter, in the order init_params draws them.
 
     Classification gets the `sup` head, segmentation the `seg` head; the
     reconstruction head is always present.
     """
     if task not in ("classification", "segmentation"):
         raise DataFormatError(f"unknown task {task!r}")
-    rng = as_rng(seed)
-    dtype = np.dtype(dtype)
-    params: dict = {}
-
+    shapes: dict = {}
     d_in = 3
     for i, width in enumerate(ENCODER_WIDTHS, start=1):
-        params[f"enc{i}_w"] = _glorot(rng, d_in, width, dtype)
-        params[f"enc{i}_b"] = np.zeros(width, dtype=dtype)
+        shapes[f"enc{i}_w"], shapes[f"enc{i}_b"] = (d_in, width), (width,)
         d_in = width
-
     for head in ("sup" if task == "classification" else "seg", "rec"):
         d_in = GLOBAL_DIM if head == "sup" else HEAD_IN_DIM
         out = 3 if head == "rec" else num_classes
         for i, width in enumerate((*_HIDDEN[head], out), start=1):
-            params[f"{head}{i}_w"] = _glorot(rng, d_in, width, dtype)
-            params[f"{head}{i}_b"] = np.zeros(width, dtype=dtype)
+            shapes[f"{head}{i}_w"], shapes[f"{head}{i}_b"] = (d_in, width), (width,)
             d_in = width
-    return params
+    return shapes
+
+
+def init_params(
+    num_classes: int,
+    task: str = "classification",
+    seed=None,
+    dtype=np.float64,
+) -> dict:
+    """Initialize all weights (uniform Glorot) and biases (zero) with the
+    shapes of param_shapes."""
+    shapes = param_shapes(num_classes, task)
+    rng = as_rng(seed)
+    dtype = np.dtype(dtype)
+    return {
+        name: _glorot(rng, *shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype=dtype)
+        for name, shape in shapes.items()
+    }
 
 
 def zeros_like_params(params: dict) -> dict:
@@ -193,11 +202,12 @@ def forward_pass(
         "heads": tuple(heads),
     }
 
+    cloud = np.repeat(np.arange(B), n)  # the cloud of each point row
     for head in heads:
         if head not in HEAD_OUTPUTS:
             raise DataFormatError(f"unknown head {head!r}")
         out, trace[head] = _head_forward(
-            params, head, g, acts[3], B, n, drop_rng if head in _DROPOUT_HEADS else None
+            params, head, g, acts[3], cloud, drop_rng if head in _DROPOUT_HEADS else None
         )
         if head != "sup":
             out = out.reshape(B, n, -1)
@@ -205,24 +215,26 @@ def forward_pass(
     return outputs, trace
 
 
-def _head_forward(params, head, g, a4, B, n, drop_rng):
+def _head_forward(params, head, g, a4, cloud, drop_rng):
     """One head's output and its cached activations.
 
-    `sup` reads the global feature; the per-point heads read
+    `sup` reads the (B, 1024) global feature `g`. The per-point heads run on
+    rows: `a4` holds layer-4 rows and `cloud` the cloud index of each row,
+    ascending, with every cloud holding at least one row. They read
     concat(global, per-point features), with the first layer's weight stored
-    as one (1280, d) matrix whose global slice is applied once per sample and
-    broadcast over points instead of materializing the concatenation.
+    as one (1280, d) matrix whose global slice is applied once per cloud and
+    gathered onto its rows instead of materializing the concatenation.
     """
     w1 = params[f"{head}1_w"]
+    cache = {}
     if head == "sup":
         z = g @ w1 + params["sup1_b"]
     else:
         zg = g @ w1[:GLOBAL_DIM]  # (B, d1)
         z = a4 @ w1[GLOBAL_DIM:]
         z += params[f"{head}1_b"]
-        z3 = z.reshape(B, n, -1)
-        z3 += zg[:, None, :]
-    cache = {}
+        z += zg[cloud]
+        cache["a4"], cache["cloud"] = a4, cloud
     for i in range(1, len(_HIDDEN[head]) + 1):
         np.maximum(z, 0.0, out=z)
         s, m = z, None
@@ -236,9 +248,9 @@ def _head_forward(params, head, g, a4, B, n, drop_rng):
     return z, cache
 
 
-def _head_backward(params, head, cache, dout, g, a4, B, n, grads):
+def _head_backward(params, head, cache, dout, g, grads):
     """Accumulate one head's parameter gradients; returns the gradients at
-    the global feature and (per-point heads only) at the layer-4 features."""
+    the global feature and (per-point heads only) at the head's layer-4 rows."""
     d = dout
     for i in range(len(_HIDDEN[head]), 0, -1):
         grads[f"{head}{i + 1}_w"] += cache[f"s{i}"].T @ d
@@ -252,12 +264,51 @@ def _head_backward(params, head, cache, dout, g, a4, B, n, grads):
         grads["sup1_w"] += g.T @ d
         grads["sup1_b"] += d.sum(axis=0)
         return d @ w1.T, None
-    # first layer: split gradient between the global and per-point slices
-    per_sample = d.reshape(B, n, -1).sum(axis=1)  # (B, d1)
-    grads[f"{head}1_w"][:GLOBAL_DIM] += g.T @ per_sample
-    grads[f"{head}1_w"][GLOBAL_DIM:] += a4.T @ d
+    # first layer: the global slice sums each cloud's rows, one segment each
+    starts = np.searchsorted(cache["cloud"], np.arange(len(g)))
+    per_cloud = np.add.reduceat(d, starts, axis=0)  # (B, d1)
+    grads[f"{head}1_w"][:GLOBAL_DIM] += g.T @ per_cloud
+    grads[f"{head}1_w"][GLOBAL_DIM:] += cache["a4"].T @ d
     grads[f"{head}1_b"] += d.sum(axis=0)
-    return per_sample @ w1[:GLOBAL_DIM].T, d @ w1[GLOBAL_DIM:].T
+    return per_cloud @ w1[:GLOBAL_DIM].T, d @ w1[GLOBAL_DIM:].T
+
+
+def _encoder_backward(params, trace, dg, grads, rows, da4):
+    """Accumulate the encoder's gradients from `dg` at the global feature
+    and `da4` at the layer-4 rows `rows` (sorted flat indices into B*n).
+
+    Only the argmax row of each channel gets a gradient through the
+    max-pool, and layer 5's activation there is the global feature, so its
+    ReLU gate is g > 0 and layer 5 runs on those rows. Layers 4-1 run on
+    the union of the argmax rows and `rows`; every other row's gradient is
+    zero down to layer 1.
+    """
+    B, n = trace["B"], trace["n"]
+    live = trace["global"] > 0
+    dg *= live
+    flat = trace["argmax"] + (np.arange(B) * n)[:, None]
+    arg_rows, slot = np.unique(flat[live], return_inverse=True)
+    dh5 = np.zeros((len(arg_rows), GLOBAL_DIM), dtype=dg.dtype)
+    dh5[slot, np.nonzero(live)[1]] = dg[live]  # each (row, channel) pair is unique
+    ins = [trace["x"], *trace["acts"]]  # inputs of layers 1-5
+    grads["enc5_w"] += ins[4][arg_rows].T @ dh5
+    grads["enc5_b"] += dg.sum(axis=0)
+
+    union = np.union1d(rows, arg_rows)
+    if len(union) == len(rows):
+        dh = da4  # rows is the whole union, in order
+    else:
+        dh = np.zeros((len(union), POINT_FEAT_DIM), dtype=dg.dtype)
+        dh[np.searchsorted(union, rows)] = da4
+    dh[np.searchsorted(union, arg_rows)] += dh5 @ params["enc5_w"].T
+    if len(union) < B * n:
+        ins = [a[union] for a in ins]
+    for i in range(len(ENCODER_WIDTHS) - 1, 0, -1):
+        dh *= ins[i] > 0
+        grads[f"enc{i}_w"] += ins[i - 1].T @ dh
+        grads[f"enc{i}_b"] += dh.sum(axis=0)
+        if i > 1:
+            dh = dh @ params[f"enc{i}_w"].T
 
 
 def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=None) -> dict:
@@ -273,7 +324,7 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
     B, n, single = trace["B"], trace["n"], trace["single"]
     grads = zeros_like_params(params)
     dg = np.zeros((B, GLOBAL_DIM), dtype=dtype)
-    da4_extra = None
+    da4 = None
 
     for head, d in (("sup", dlogits), ("rec", drecon), ("seg", dseg_logits)):
         if d is None:
@@ -285,40 +336,16 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
             d = d[None]
         if head != "sup":
             d = d.reshape(B * n, -1)
-        dgh, da4 = _head_backward(
-            params, head, trace[head], d, trace["global"], trace["acts"][3], B, n, grads
-        )
+        dgh, da4h = _head_backward(params, head, trace[head], d, trace["global"], grads)
         dg += dgh
-        if da4 is not None:
-            da4_extra = da4 if da4_extra is None else da4_extra + da4
+        if da4h is not None:
+            da4 = da4h if da4 is None else da4 + da4h
 
-    # max-pool: only the argmax row of each channel carries a gradient, and
-    # layer 5's activation there is the global feature, so its ReLU gate is
-    # g > 0; compact the live (row, channel) pairs into (rows, 1024)
-    live = trace["global"] > 0
-    dg *= live
-    flat = trace["argmax"] + (np.arange(B) * n)[:, None]
-    rows, slot = np.unique(flat[live], return_inverse=True)
-    dh5 = np.zeros((len(rows), GLOBAL_DIM), dtype=dtype)
-    dh5[slot, np.nonzero(live)[1]] = dg[live]  # each (row, channel) pair is unique
-
-    ins = [trace["x"], *trace["acts"]]  # inputs of layers 1-5
-    a4_rows = ins[4][rows]
-    grads["enc5_w"] += a4_rows.T @ dh5
-    grads["enc5_b"] += dg.sum(axis=0)
-    dh = dh5 @ params["enc5_w"].T
-    if da4_extra is None:
-        # sup alone: every other row's gradient stays zero down to layer 1
-        ins = [a[rows] for a in ins[:4]] + [a4_rows]
+    if da4 is None:  # sup alone: no layer-4 gradient outside the argmax rows
+        rows, da4 = np.empty(0, dtype=np.intp), np.empty((0, POINT_FEAT_DIM), dtype=dtype)
     else:
-        da4_extra[rows] += dh
-        dh = da4_extra
-    for i in range(len(ENCODER_WIDTHS) - 1, 0, -1):
-        dh *= ins[i] > 0
-        grads[f"enc{i}_w"] += ins[i - 1].T @ dh
-        grads[f"enc{i}_b"] += dh.sum(axis=0)
-        if i > 1:
-            dh = dh @ params[f"enc{i}_w"].T
+        rows = np.arange(B * n)
+    _encoder_backward(params, trace, dg, grads, rows, da4)
     return grads
 
 
@@ -393,18 +420,28 @@ def reconstruction_loss_and_grads(
     clouds against their originals, with weight-scaled parameter gradients.
 
     `regions` is one index array per sample. The returned loss is the
-    unweighted batch mean; gradients carry the weight.
+    unweighted batch mean; gradients carry the weight. The loss reads only
+    the region rows of the reconstruction, so the rec head runs on those
+    rows alone and the encoder backward on them and the argmax rows.
     """
-    outputs, trace = forward_pass(params, deformed, heads=("rec",))
-    recon = outputs["recon"]
-    single = trace["single"]
-    if single:
-        recon = recon[None]
+    _, trace = forward_pass(params, deformed, heads=())
+    B, n = trace["B"], trace["n"]
+    if trace["single"]:
         originals = np.asarray(originals)[None]
         regions = [regions] if isinstance(regions, np.ndarray) else regions
-    B = len(recon)
     if len(originals) != B or len(regions) != B:
         raise DataFormatError("originals/regions batch size mismatch")
-    loss, drecon = region_chamfer_and_grad(recon, originals, regions, weight)
-    grads = backward(params, trace, drecon=drecon[0] if single else drecon)
+    sorted_regions = [np.sort(check_region(r, n)) for r in regions]
+    rows = np.concatenate([b * n + r for b, r in enumerate(sorted_regions)])
+    cloud = np.repeat(np.arange(B), [len(r) for r in sorted_regions])
+    out, cache = _head_forward(
+        params, "rec", trace["global"], trace["acts"][3][rows], cloud, None
+    )
+    recon = np.zeros((B * n, 3), dtype=out.dtype)
+    recon[rows] = out
+    loss, drecon = region_chamfer_and_grad(recon.reshape(B, n, 3), originals, regions, weight)
+    grads = zeros_like_params(params)
+    dout = drecon.reshape(B * n, 3)[rows].astype(out.dtype)
+    dg, da4 = _head_backward(params, "rec", cache, dout, trace["global"], grads)
+    _encoder_backward(params, trace, dg, grads, rows, da4)
     return loss, grads

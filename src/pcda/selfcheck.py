@@ -29,6 +29,7 @@ from .network import (
     backward,
     forward_pass,
     init_params,
+    reconstruction_loss_and_grads,
     region_chamfer_and_grad,
     softmax_cross_entropy,
 )
@@ -249,6 +250,35 @@ def check_gradients() -> CheckResult:
     )
 
 
+def check_reconstruction_path(seed: int = 0) -> CheckResult:
+    """The training path's reconstruction loss, whose rec head runs on the
+    region rows only, against the dense composite pass. The network has one
+    class, so the composite's cross entropy and sup gradient are exactly
+    zero and what remains is its weighted reconstruction part."""
+    kids = np.random.SeedSequence([seed, 9]).spawn(3)
+    params = init_params(1, task="classification", seed=kids[0], dtype=np.float64)
+    rng = as_rng(kids[1])
+    batch, n_points, weight = 3, 24, 0.5
+    clouds = rng.normal(size=(batch, n_points, 3))
+    targets = rng.normal(size=(batch, n_points, 3))
+    regions = [rng.choice(n_points, size=k, replace=False) for k in (1, 7, n_points)]
+    loss, grads = reconstruction_loss_and_grads(params, clouds, targets, regions, weight)
+    total, want = composite_loss_and_grads(
+        params, clouds, np.ones((batch, 1)), targets, regions, weight, kids[2]
+    )
+    loss_err = abs(weight * loss - total) / abs(total)
+    worst = max(
+        np.abs(grads[k] - want[k]).max() / max(np.abs(want[k]).max(), np.finfo(float).tiny)
+        for k in want
+    )
+    sup_zero = not any(want[k].any() for k in want if k.startswith("sup"))
+    return _check(
+        "reconstruction-path",
+        loss_err <= 1e-12 and worst <= 1e-12 and sup_zero,
+        f"loss rel {loss_err:.1e}, worst grad rel {worst:.1e} vs the dense composite",
+    )
+
+
 def check_mixup(draws: int = 400, seed: int = 0) -> CheckResult:
     rng = as_rng(seed)
     worst = 0.0
@@ -357,6 +387,7 @@ def run_all() -> list:
         check_chamfer(),
         check_region_gradient(),
         check_gradients(),
+        check_reconstruction_path(),
         check_mixup(),
         check_deformations(),
         check_perplexity(),

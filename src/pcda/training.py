@@ -29,6 +29,7 @@ from .network import (
     classification_loss_and_grads,
     forward_pass,
     init_params,
+    param_shapes,
     point_features,
     reconstruction_loss_and_grads,
     segmentation_loss_and_grads,
@@ -242,6 +243,28 @@ def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict) -> b
     return save_tensors(path, tensors, {**meta, "adam_t": adam.t})
 
 
+def _check_architecture(path, params: dict, meta: dict):
+    """Refuse parameters that are not the network of param_shapes for the
+    task and class count their output layer implies, in float32 or float64,
+    or that disagree with the task and class count the metadata records."""
+    task = "classification" if "sup1_w" in params else "segmentation"
+    out = params.get("sup3_w" if task == "classification" else "seg4_w")
+    if out is None or out.ndim != 2:
+        raise DataFormatError(f"{path}: no classification or segmentation output layer")
+    num_classes = out.shape[1]
+    shapes = param_shapes(num_classes, task)
+    if params.keys() != shapes.keys() or any(params[k].shape != v for k, v in shapes.items()):
+        raise DataFormatError(
+            f"{path}: parameters are not the {task} network with {num_classes} classes"
+        )
+    dtypes = {p.dtype for p in params.values()}
+    if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+        raise DataFormatError(f"{path}: parameters must be float32 or float64, got {dtypes}")
+    for key, value in (("task", task), ("num_classes", num_classes)):
+        if key in meta and meta[key] != value:
+            raise DataFormatError(f"{path}: metadata {key}={meta[key]!r}, parameters say {value!r}")
+
+
 def load_checkpoint(path):
     tensors, meta = load_tensors(path)
     params, best, m, v = {}, {}, {}, {}
@@ -257,6 +280,7 @@ def load_checkpoint(path):
         for g in groups.values()
     ):
         raise DataFormatError(f"{path}: incomplete checkpoint or mismatched groups")
+    _check_architecture(path, params, meta)
     t = meta.get("adam_t")
     if type(t) is not int or t < 0:
         raise DataFormatError(f"{path}: adam_t must be a non-negative integer, got {t!r}")
@@ -440,6 +464,11 @@ def train(
         if meta.get("config") != json.loads(config_blob):
             raise DataFormatError("resume config does not match checkpoint config")
         start_epoch = int(meta["epoch"]) + 1
+        want_t = start_epoch * steps_per_epoch * len(halves)
+        if adam.t != want_t:
+            raise DataFormatError(
+                f"{last_path}: adam_t={adam.t}, but {start_epoch} epochs make {want_t} updates"
+            )
         best_val = float(meta["best_val"])
         best_epoch = int(meta["best_epoch"])
         if os.path.exists(metrics_path):

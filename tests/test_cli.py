@@ -397,13 +397,26 @@ class TestTrainEvalPerplexity:
         assert code == 2
         assert "data error" in err and "<q9" in err
 
-    @pytest.mark.parametrize("damage", ["no adam_v", "x", -1])
+    @pytest.mark.parametrize(
+        "damage", ["no adam_v", "x", -1, "enc2_w", "head width", "float16"]
+    )
     def test_damaged_checkpoint_is_data_error(self, bench_dir, run_dir, tmp_path, capsys, damage):
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)
         tensors, meta = load_tensors(run / "last.ckpt")
+        # architecture damage is made in every group, so the groups still agree
+        shapes = {
+            "enc2_w": {"enc2_w": (65, 64)},
+            "head width": {"sup2_w": (512, 200), "sup2_b": (200,), "sup3_w": (200, 3)},
+        }.get(damage, {})
         if damage == "no adam_v":
             tensors = {k: v for k, v in tensors.items() if not k.startswith("adam_v/")}
+        elif damage == "float16":
+            tensors = {k: v.astype(np.float16) for k, v in tensors.items()}
+        elif shapes:
+            for name in list(tensors):
+                if name.partition("/")[2] in shapes:
+                    tensors[name] = np.zeros(shapes[name.partition("/")[2]], dtype=np.float32)
         else:
             meta["adam_t"] = damage
         save_tensors(run / "last.ckpt", tensors, meta)
@@ -415,15 +428,27 @@ class TestTrainEvalPerplexity:
             capsys, "train", "--bench", str(bench_dir), "--out", str(run), "--resume",
             "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
         )
-        assert code == 2 and ("incomplete" in err or "adam_t" in err)
+        says = ("incomplete", "adam_t", "not the classification network", "float32 or float64")
+        assert code == 2 and any(s in err for s in says)
+
+    def test_resume_with_wrong_adam_t_is_data_error(self, bench_dir, run_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        tensors, meta = load_tensors(run / "last.ckpt")
+        save_tensors(run / "last.ckpt", tensors, {**meta, "adam_t": meta["adam_t"] + 1})
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(run), "--resume",
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
+        )
+        assert code == 2 and "adam_t" in err
 
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, stdout, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "9/9 checks passed" in stdout
-        assert stdout.count("PASS") == 9
+        assert "10/10 checks passed" in stdout
+        assert stdout.count("PASS") == 10
         assert "FAIL" not in stdout
 
     def test_console_script_entry_point(self):

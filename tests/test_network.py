@@ -4,6 +4,8 @@ analytic-vs-numeric gradient oracle."""
 import numpy as np
 import pytest
 
+from pcda import network
+from pcda.deform import DeformSpec, apply_deformation
 from pcda.errors import DataFormatError, NumericalError
 from pcda.network import (
     DROPOUT_RATE,
@@ -21,6 +23,7 @@ from pcda.network import (
     param_dtype,
     point_features,
     reconstruction_loss_and_grads,
+    region_chamfer_and_grad,
     segmentation_loss_and_grads,
     softmax_cross_entropy,
     zeros_like_params,
@@ -221,9 +224,7 @@ def dense_backward(params, trace, **upstream):
             d = d[None]
         if head != "sup":
             d = d.reshape(B * n, -1)
-        dgh, da4 = _head_backward(
-            params, head, trace[head], d, trace["global"], trace["acts"][3], B, n, grads
-        )
+        dgh, da4 = _head_backward(params, head, trace[head], d, trace["global"], grads)
         dg += dgh
         if da4 is not None:
             da4_extra = da4 if da4_extra is None else da4_extra + da4
@@ -330,6 +331,124 @@ class TestBackward:
         z = zeros_like_params(params_cls)
         assert set(z) == set(params_cls)
         assert all(np.all(v == 0) and v.shape == params_cls[k].shape for k, v in z.items())
+
+
+def dense_reconstruction(params, deformed, originals, regions, weight):
+    """The dense reconstruction path, kept as the reference: the rec head on
+    every point, the region Chamfer, and dense_backward above."""
+    out, trace = forward_pass(params, deformed, heads=("rec",))
+    recon = out["recon"]
+    if trace["single"]:
+        recon, originals, regions = recon[None], np.asarray(originals)[None], [regions]
+    loss, drecon = region_chamfer_and_grad(recon, originals, regions, weight)
+    return loss, dense_backward(params, trace, drecon=drecon[0] if trace["single"] else drecon)
+
+
+def region_case(case, params):
+    """(deformed, originals, regions) of one sparse-reconstruction pin case."""
+    rng = np.random.default_rng(11)
+    n = 40
+    B = 1 if case in ("b1", "single") else 4
+    clouds = rng.uniform(-0.5, 0.5, size=(B, n, 3))
+    spec = {
+        "feature": DeformSpec(kind="feature", k_pts=7),
+        "split": DeformSpec(kind="split"),
+    }.get(case, DeformSpec(kind="voxel", k=2))
+    feats = point_features(params, clouds, 3) if case == "feature" else [None] * B
+    pairs = [
+        apply_deformation(c, spec, seed=j, features=feats[j]) for j, c in enumerate(clouds)
+    ]
+    deformed = np.stack([p.deformed for p in pairs])
+    regions = [p.region for p in pairs]
+    if case == "sizes":  # a 1-point region, a whole cloud out of order, then two more
+        regions = [np.array([5]), rng.permutation(n), regions[2], np.array([n - 1, 0])]
+    if case == "whole":  # the union of rows is every point
+        regions = [rng.permutation(n) for _ in range(B)]
+    if case == "single":
+        return deformed[0], clouds[0], regions[0]
+    return deformed, clouds, regions
+
+
+class TestSparseReconstruction:
+    CASES = ["voxel", "feature", "split", "sizes", "whole", "b1", "single"]
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense_reference(self, dtype, tol, case):
+        params = init_params(3, seed=5, dtype=dtype)
+        deformed, originals, regions = region_case(case, params)
+        loss, got = reconstruction_loss_and_grads(params, deformed, originals, regions, 0.25)
+        want_loss, want = dense_reconstruction(params, deformed, originals, regions, 0.25)
+        assert loss == pytest.approx(want_loss, rel=tol)
+        assert set(got) == set(want)
+        for k in want:
+            scale = max(np.abs(want[k]).max(), np.finfo(dtype).tiny)
+            err = np.abs(got[k] - want[k]).max() / scale
+            assert err <= tol, f"{k}: relative difference {err:.2e}"
+        for k in ("enc1_w", "enc4_w", "rec1_w", "rec4_w"):
+            assert np.abs(got[k]).max() > 0
+
+    def test_finite_differences(self):
+        params = init_params(3, seed=6, dtype=np.float64)
+        deformed, originals, regions = region_case("sizes", params)
+        _, grads = reconstruction_loss_and_grads(params, deformed, originals, regions)
+        rng = np.random.default_rng(2)
+        split = GLOBAL_DIM * HEAD_HIDDEN[0]  # rec1_w rows below it read the global feature
+        coords = [
+            (name, int(i))
+            for name, lo, hi in (
+                ("enc1_w", 0, params["enc1_w"].size),
+                ("enc4_w", 0, params["enc4_w"].size),
+                ("rec1_w", 0, split),
+                ("rec1_w", split, params["rec1_w"].size),
+                ("rec4_w", 0, params["rec4_w"].size),
+            )
+            for i in rng.choice(np.arange(lo, hi), size=6, replace=False)
+        ]
+
+        def loss_only():
+            return reconstruction_loss_and_grads(params, deformed, originals, regions)[0]
+
+        # a small step: at 1e-5 some enc1_w coordinates straddle a ReLU kink
+        numeric = finite_difference_grad(loss_only, params, coords, h=1e-6)
+        analytic = np.array([grads[name].reshape(-1)[idx] for name, idx in coords])
+        frac, worst = gradient_agreement(analytic, numeric, tol=1e-4)
+        assert frac == 1.0, f"{frac:.3f} of {len(coords)} coords agree (worst {worst:.2e})"
+
+    def test_rec_head_runs_on_region_rows_only(self, monkeypatch):
+        params = init_params(3, seed=5, dtype=np.float32)
+        deformed, originals, regions = region_case("voxel", params)
+        caches = []
+
+        def spy(*args):
+            out, cache = head_forward(*args)
+            caches.append((args[1], out, cache))
+            return out, cache
+
+        head_forward = network._head_forward
+        monkeypatch.setattr(network, "_head_forward", spy)
+        reconstruction_loss_and_grads(params, deformed, originals, regions)
+        rows = sum(len(r) for r in regions)
+        assert rows < deformed.shape[0] * deformed.shape[1]
+        ((head, out, cache),) = caches
+        assert head == "rec" and len(out) == rows
+        for key, arr in cache.items():
+            assert arr is None or len(arr) == rows, f"{key} has {len(arr)} rows"
+
+    def test_bad_batches_rejected(self, params_cls):
+        clouds = np.stack([make_cloud(i, 16) for i in range(2)])
+        good = [np.arange(4), np.arange(3)]
+        for originals, regions in (
+            (clouds[:1], good),
+            (clouds, good[:1]),
+            (clouds, [np.arange(4), np.array([], dtype=np.int64)]),
+            (clouds, [np.arange(4), np.array([16])]),
+            (clouds, [np.arange(4), np.array([-1])]),
+            (clouds, [np.arange(4), np.array([2, 2])]),
+            (clouds, [np.arange(4), np.array([[1], [2]])]),
+        ):
+            with pytest.raises(DataFormatError):
+                reconstruction_loss_and_grads(params_cls, clouds, originals, regions)
 
 
 class TestCrossEntropy:

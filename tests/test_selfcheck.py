@@ -69,9 +69,9 @@ class TestParamCoordSampling:
 class TestRunAll:
     def test_all_checks_pass(self):
         results = run_all()
-        assert len(results) == 9
+        assert len(results) == 10
         names = [r.name for r in results]
-        assert len(set(names)) == 9
+        assert len(set(names)) == 10
         failed = [f"{r.name}: {r.detail}" for r in results if not r.ok]
         assert not failed, "; ".join(failed)
 

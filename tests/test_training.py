@@ -60,6 +60,13 @@ def tiny_seg_dataset(seed, count=8, n=24):
     return Dataset(samples=samples, num_classes=2)
 
 
+def improving_run():
+    """Source, target and config of a run whose best epoch comes after epoch
+    0; tiny_config on the 12-cloud tiny_cls_dataset never improves after it."""
+    cfg = tiny_config(epochs=4, lr=3e-3, seed=1)
+    return tiny_cls_dataset(0, count=30), tiny_cls_dataset(1, count=30), cfg
+
+
 def tiny_config(**kw):
     base = dict(
         epochs=2,
@@ -251,6 +258,41 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="incomplete"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "damage, says",
+        [
+            ("enc2_w", "not the classification network"),
+            ("head width", "not the classification network"),
+            ("float16", "float32 or float64"),
+            ("meta classes", "num_classes"),
+            ("meta task", "task"),
+        ],
+    )
+    def test_architecture_mismatch_rejected(self, tmp_path, damage, says):
+        # every group stays consistent with the others; only the network differs
+        params = init_params(3, seed=0)
+        path = tmp_path / "c.ckpt"
+        meta = {"epoch": 0, "task": "classification", "num_classes": 3}
+        save_checkpoint(path, params, params, init_adam(params), meta)
+        tensors, meta = load_tensors(path)
+        shapes = {
+            "enc2_w": {"enc2_w": (65, 64)},
+            "head width": {"sup2_w": (512, 200), "sup2_b": (200,), "sup3_w": (200, 3)},
+        }.get(damage, {})
+        for name in list(tensors):
+            key = name.partition("/")[2]
+            if key in shapes:
+                tensors[name] = np.zeros(shapes[key])
+            elif damage == "float16":
+                tensors[name] = tensors[name].astype(np.float16)
+        if damage == "meta classes":
+            meta["num_classes"] = 4
+        if damage == "meta task":
+            meta["task"] = "segmentation"
+        save_tensors(path, tensors, meta)
+        with pytest.raises(DataFormatError, match=says):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("adam_t", ["x", -1, 2.5, True, None])
     def test_bad_adam_t_rejected(self, tmp_path, adam_t):
         params = init_params(3, seed=0)
@@ -294,10 +336,9 @@ class TestTrainLoop:
             ).read_bytes(), f"{name} differs between identical runs"
 
     def test_interrupted_resume_matches_uninterrupted(self, tmp_path):
-        src = tiny_cls_dataset(0)
-        tgt = tiny_cls_dataset(1)
-        cfg = tiny_config(epochs=4)
-        train(src, tgt, cfg, str(tmp_path / "full"))
+        src, tgt, cfg = improving_run()
+        full = train(src, tgt, cfg, str(tmp_path / "full"))
+        assert full.best_epoch >= 1
         train(src, tgt, cfg, str(tmp_path / "part"), stop_after=2)
         part_lines = (tmp_path / "part" / "metrics.jsonl").read_text().splitlines()
         assert len(part_lines) == 2
@@ -310,9 +351,7 @@ class TestTrainLoop:
     def test_kill_between_checkpoint_files_resumes_byte_identical(self, tmp_path, monkeypatch):
         # an improving epoch writes two checkpoint files; stop the run right
         # after the first one lands, as a kill would, then resume
-        src = tiny_cls_dataset(0, count=30)
-        tgt = tiny_cls_dataset(1, count=30)
-        cfg = tiny_config(epochs=4, lr=3e-3, seed=1)
+        src, tgt, cfg = improving_run()
         full = train(src, tgt, cfg, str(tmp_path / "full"))
         best = [rec["best"] for rec in full.metrics]
         epoch = max(e for e, b in enumerate(best) if b)
@@ -348,6 +387,18 @@ class TestTrainLoop:
         with pytest.raises(DataFormatError, match="config"):
             train(src, tgt, tiny_config(epochs=2, lr=5e-4), str(tmp_path / "r"), resume=True)
 
+    def test_resume_with_wrong_adam_t_rejected(self, tmp_path):
+        src = tiny_cls_dataset(0)
+        tgt = tiny_cls_dataset(1)
+        run = tmp_path / "r"
+        train(src, tgt, tiny_config(epochs=2), str(run), stop_after=1)
+        tensors, meta = load_tensors(run / "last.ckpt")
+        save_tensors(run / "last.ckpt", tensors, {**meta, "adam_t": meta["adam_t"] + 1})
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(DataFormatError, match="adam_t"):
+            train(src, tgt, tiny_config(epochs=2), str(run), resume=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_ssl_disabled_trains_source_only(self, tmp_path):
         src = tiny_cls_dataset(0)
         res = train(src, None, tiny_config(ssl_weight=0.0, use_mixup=False), str(tmp_path / "s"))
@@ -364,9 +415,9 @@ class TestTrainLoop:
             train(seg, None, tiny_config(ssl_weight=0.0), str(tmp_path / "m"))
 
     def test_best_checkpoint_tracks_metrics(self, tmp_path):
-        src = tiny_cls_dataset(0)
-        tgt = tiny_cls_dataset(1)
-        res = train(src, tgt, tiny_config(epochs=3), str(tmp_path / "b"))
+        src, tgt, cfg = improving_run()
+        res = train(src, tgt, cfg, str(tmp_path / "b"))
+        assert res.best_epoch >= 1
         vals = [rec["val_accuracy"] for rec in res.metrics]
         assert res.best_val == max(vals)
         # strict improvement only: the recorded best epoch is the first argmax
