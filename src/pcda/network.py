@@ -202,12 +202,11 @@ def forward_pass(
         "heads": tuple(heads),
     }
 
-    cloud = np.repeat(np.arange(B), n)  # the cloud of each point row
     for head in heads:
         if head not in HEAD_OUTPUTS:
             raise DataFormatError(f"unknown head {head!r}")
         out, trace[head] = _head_forward(
-            params, head, g, acts[3], cloud, drop_rng if head in _DROPOUT_HEADS else None
+            params, head, g, acts[3], None, drop_rng if head in _DROPOUT_HEADS else None
         )
         if head != "sup":
             out = out.reshape(B, n, -1)
@@ -220,10 +219,13 @@ def _head_forward(params, head, g, a4, cloud, drop_rng):
 
     `sup` reads the (B, 1024) global feature `g`. The per-point heads run on
     rows: `a4` holds layer-4 rows and `cloud` the cloud index of each row,
-    ascending, with every cloud holding at least one row. They read
+    ascending, with every cloud holding at least one row; `cloud` is None
+    when `a4` holds every point of the B clouds in order. They read
     concat(global, per-point features), with the first layer's weight stored
     as one (1280, d) matrix whose global slice is applied once per cloud and
-    gathered onto its rows instead of materializing the concatenation.
+    added to its rows instead of materializing the concatenation: by
+    broadcast over the clouds' equal row blocks when `cloud` is None, else
+    by gather.
     """
     w1 = params[f"{head}1_w"]
     cache = {}
@@ -233,7 +235,11 @@ def _head_forward(params, head, g, a4, cloud, drop_rng):
         zg = g @ w1[:GLOBAL_DIM]  # (B, d1)
         z = a4 @ w1[GLOBAL_DIM:]
         z += params[f"{head}1_b"]
-        z += zg[cloud]
+        if cloud is None:
+            z3 = z.reshape(len(g), -1, z.shape[1])
+            z3 += zg[:, None, :]
+        else:
+            z += zg[cloud]
         cache["a4"], cache["cloud"] = a4, cloud
     for i in range(1, len(_HIDDEN[head]) + 1):
         np.maximum(z, 0.0, out=z)
@@ -265,8 +271,11 @@ def _head_backward(params, head, cache, dout, g, grads):
         grads["sup1_b"] += d.sum(axis=0)
         return d @ w1.T, None
     # first layer: the global slice sums each cloud's rows, one segment each
-    starts = np.searchsorted(cache["cloud"], np.arange(len(g)))
-    per_cloud = np.add.reduceat(d, starts, axis=0)  # (B, d1)
+    if cache["cloud"] is None:
+        per_cloud = d.reshape(len(g), -1, d.shape[1]).sum(axis=1)  # (B, d1)
+    else:
+        starts = np.searchsorted(cache["cloud"], np.arange(len(g)))
+        per_cloud = np.add.reduceat(d, starts, axis=0)
     grads[f"{head}1_w"][:GLOBAL_DIM] += g.T @ per_cloud
     grads[f"{head}1_w"][GLOBAL_DIM:] += cache["a4"].T @ d
     grads[f"{head}1_b"] += d.sum(axis=0)

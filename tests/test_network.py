@@ -435,6 +435,27 @@ class TestSparseReconstruction:
         for key, arr in cache.items():
             assert arr is None or len(arr) == rows, f"{key} has {len(arr)} rows"
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("head", ["rec", "seg"])
+    def test_every_row_broadcast_matches_row_gather(self, dtype, tol, head):
+        # forward_pass runs the per-point heads on every point with cloud=None
+        # (broadcast over equal row blocks, reshape-sum backward); the
+        # reconstruction loss passes row indices (gather, segment sum)
+        params = init_params(4, "segmentation", seed=2, dtype=dtype)
+        _, trace = forward_pass(params, pin_clouds("batch")[0], heads=())
+        B, n = trace["B"], trace["n"]
+        g, a4 = trace["global"], trace["acts"][3]
+        cloud = np.repeat(np.arange(B), n)
+        out_b, cache_b = network._head_forward(params, head, g, a4, None, None)
+        out_g, cache_g = network._head_forward(params, head, g, a4, cloud, None)
+        np.testing.assert_array_equal(out_b, out_g)
+        dout = np.random.default_rng(3).normal(size=out_b.shape).astype(dtype)
+        grads_b, grads_g = zeros_like_params(params), zeros_like_params(params)
+        dg_b, da4_b = _head_backward(params, head, cache_b, dout, g, grads_b)
+        dg_g, da4_g = _head_backward(params, head, cache_g, dout, g, grads_g)
+        for want, got in ((dg_b, dg_g), (da4_b, da4_g), *((grads_b[k], grads_g[k]) for k in grads_b)):
+            assert np.abs(got - want).max() <= tol * max(np.abs(want).max(), 1e-30)
+
     def test_bad_batches_rejected(self, params_cls):
         clouds = np.stack([make_cloud(i, 16) for i in range(2)])
         good = [np.arange(4), np.arange(3)]
