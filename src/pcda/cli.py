@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .cloud import LabeledCloud
-from .config import load_run_config
+from .config import load_train_config
 from .dataio import (
     atomic_write_text,
     load_archive,
@@ -131,13 +131,28 @@ def cmd_mixup(args) -> int:
     return 0
 
 
+def _stale_lock_pid(lock_path: str):
+    """The PID a run lock names if no such process exists, else None (the
+    process is alive, or the lock cannot be read or parsed)."""
+    try:
+        with open(lock_path, "r", encoding="ascii") as fh:
+            pid = int(fh.read())
+        if pid > 0:
+            os.kill(pid, 0)  # signal 0 sends nothing: it only checks the PID
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError, OverflowError):  # unreadable, or alive under another user
+        pass
+    return None
+
+
 def cmd_train(args) -> int:
     bench = _load_bench(args.bench, "source_train", "target_train")
     source = bench["source_train"]
     target = bench["target_train"]
     task = "segmentation" if source.segmented else "classification"
     if args.config:
-        cfg = load_run_config(args.config).train
+        cfg = load_train_config(args.config)
         if cfg.task != task:
             raise DataFormatError(
                 f"config task {cfg.task!r} does not match benchmark task {task!r}"
@@ -147,7 +162,11 @@ def cmd_train(args) -> int:
     lock_path = os.path.join(args.out, ".lock")
     locked = UsageError(f"{args.out} is locked by another run (remove {lock_path} if stale)")
     if os.path.exists(lock_path):
-        raise locked
+        pid = _stale_lock_pid(lock_path)
+        if pid is None:
+            raise locked
+        print(f"removing stale lock {lock_path}: process {pid} is not running", file=sys.stderr)
+        os.unlink(lock_path)
     prepare_run(source, target, cfg)  # refuse a bad run before its directory exists
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -316,7 +335,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train with alternating supervised/reconstruction steps")
     p.add_argument("--bench", required=True, help="benchmark directory")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--config", help="RunConfig JSON; overrides the flags below")
+    p.add_argument(
+        "--config",
+        help='JSON {"train": {...}} of TrainConfig fields; overrides the flags below',
+    )
     p.add_argument("--epochs", type=int, default=train_defaults.epochs)
     p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
     p.add_argument("--lr", type=float, default=train_defaults.lr)

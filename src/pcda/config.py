@@ -69,7 +69,7 @@ def run_config_to_json(cfg: RunConfig) -> str:
     return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
-def run_config_from_json(text: str) -> RunConfig:
+def run_config_from_json(text: str | bytes) -> RunConfig:
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -87,8 +87,23 @@ def run_config_from_json(text: str) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes: json.loads decodes them and reports bad UTF-8 as a ValueError
+    with open(path, "rb") as fh:
         return run_config_from_json(fh.read())
+
+
+def load_train_config(path) -> TrainConfig:
+    """The TrainConfig of a RunConfig file that holds only its `train`
+    section, as `pcda train --config` reads it. The benchmark comes from
+    `--bench` and train runs no grid, so `bench` and `grid` keys are refused
+    rather than ignored."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    cfg = run_config_from_json(blob)
+    ignored = sorted(set(json.loads(blob)) & {"bench", "grid"})
+    if ignored:
+        raise DataFormatError(f"config: train reads only the 'train' section, not {ignored}")
+    return cfg.train
 
 
 def save_run_config(path, cfg: RunConfig) -> None:

@@ -18,8 +18,9 @@ parameter dtype (float64 by default, float32 supported for speed).
 Layer 5 is fused with the max-pool one cloud at a time, so its per-point
 activations are not kept: the trace holds layers 1-4, the global feature and
 the argmax row of each channel. Only those rows get a gradient through the
-pool, so layer 5's backward runs on the argmax rows, and layers 4-1 on those
-rows plus the rows a per-point head sends a gradient to. The per-point heads
+pool, one channel per live (cloud, channel) pair, so layer 5's backward is
+a sparse product over those pairs, and layers 4-1 run on the argmax rows
+plus the rows a per-point head sends a gradient to. The per-point heads
 run on a set of rows. forward_pass gives them every point, so eval and seg
 stay dense. The training reconstruction loss reads only the deformed region,
 so it runs the rec head on the region rows alone, and layers 4-1 on the
@@ -29,6 +30,7 @@ region and argmax rows.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .cloud import as_rng
 from .chamfer import check_region, chamfer_loss_region
@@ -288,19 +290,23 @@ def _encoder_backward(params, trace, dg, grads, rows, da4):
 
     Only the argmax row of each channel gets a gradient through the
     max-pool, and layer 5's activation there is the global feature, so its
-    ReLU gate is g > 0 and layer 5 runs on those rows. Layers 4-1 run on
-    the union of the argmax rows and `rows`; every other row's gradient is
-    zero down to layer 1.
+    ReLU gate is g > 0. Layer 5's pre-activation gradient on the argmax
+    rows holds one entry per live (cloud, channel) pair, so it is kept as a
+    sparse (argmax rows, 1024) matrix and both layer-5 products are sparse.
+    Layers 4-1 run on the union of the argmax rows and `rows`; every other
+    row's gradient is zero down to layer 1.
     """
     B, n = trace["B"], trace["n"]
     live = trace["global"] > 0
     dg *= live
     flat = trace["argmax"] + (np.arange(B) * n)[:, None]
     arg_rows, slot = np.unique(flat[live], return_inverse=True)
-    dh5 = np.zeros((len(arg_rows), GLOBAL_DIM), dtype=dg.dtype)
-    dh5[slot, np.nonzero(live)[1]] = dg[live]  # each (row, channel) pair is unique
+    # each (row, channel) pair is unique, so no entries are summed
+    dh5 = csr_matrix(
+        (dg[live], (slot, np.nonzero(live)[1])), shape=(len(arg_rows), GLOBAL_DIM)
+    )
     ins = [trace["x"], *trace["acts"]]  # inputs of layers 1-5
-    grads["enc5_w"] += ins[4][arg_rows].T @ dh5
+    grads["enc5_w"] += (dh5.T @ ins[4][arg_rows]).T
     grads["enc5_b"] += dg.sum(axis=0)
 
     union = np.union1d(rows, arg_rows)
@@ -309,7 +315,7 @@ def _encoder_backward(params, trace, dg, grads, rows, da4):
     else:
         dh = np.zeros((len(union), POINT_FEAT_DIM), dtype=dg.dtype)
         dh[np.searchsorted(union, rows)] = da4
-    dh[np.searchsorted(union, arg_rows)] += dh5 @ params["enc5_w"].T
+    dh[np.searchsorted(union, arg_rows)] += dh5 @ np.ascontiguousarray(params["enc5_w"].T)
     if len(union) < B * n:
         ins = [a[union] for a in ins]
     for i in range(len(ENCODER_WIDTHS) - 1, 0, -1):

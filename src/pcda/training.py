@@ -287,6 +287,25 @@ def load_checkpoint(path):
     return params, best, AdamState(m=m, v=v, t=t), meta
 
 
+def _resume_state(path, meta: dict) -> tuple:
+    """(epoch, best_val, best_epoch) from a checkpoint's metadata. Raises
+    DataFormatError unless epoch >= 0 and -1 <= best_epoch <= epoch are ints
+    and best_val is a number, as train writes them."""
+    epoch, best_val, best_epoch = (meta.get(k) for k in ("epoch", "best_val", "best_epoch"))
+    if (
+        type(epoch) is not int
+        or epoch < 0
+        or type(best_epoch) is not int
+        or not -1 <= best_epoch <= epoch
+        or type(best_val) not in (int, float)
+    ):
+        raise DataFormatError(
+            f"{path}: bad resume metadata epoch={epoch!r}, best_val={best_val!r}, "
+            f"best_epoch={best_epoch!r}"
+        )
+    return epoch, float(best_val), best_epoch
+
+
 def load_params(path) -> tuple:
     """Best-scoring parameters from a checkpoint, with its metadata."""
     _, best, _, meta = load_checkpoint(path)
@@ -463,14 +482,13 @@ def train(
         params, best_params, adam, meta = load_checkpoint(last_path)
         if meta.get("config") != json.loads(config_blob):
             raise DataFormatError("resume config does not match checkpoint config")
-        start_epoch = int(meta["epoch"]) + 1
+        last_epoch, best_val, best_epoch = _resume_state(last_path, meta)
+        start_epoch = last_epoch + 1
         want_t = start_epoch * steps_per_epoch * len(halves)
         if adam.t != want_t:
             raise DataFormatError(
                 f"{last_path}: adam_t={adam.t}, but {start_epoch} epochs make {want_t} updates"
             )
-        best_val = float(meta["best_val"])
-        best_epoch = int(meta["best_epoch"])
         if os.path.exists(metrics_path):
             with open(metrics_path, "r", encoding="utf-8") as fh:
                 metrics = [json.loads(line) for line in fh if line.strip()]

@@ -272,14 +272,42 @@ class TestTrainEvalPerplexity:
     def test_lock_conflict_is_usage_error(self, bench_dir, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".lock").write_text("12345\n")
+        (out / ".lock").write_text(f"{os.getpid()}\n")  # a live process
         code, _, err = run_cli(
             capsys, "train", "--bench", str(bench_dir), "--out", str(out),
             "--epochs", "1",
         )
         assert code == 1
         assert "locked" in err
-        assert (out / ".lock").exists()  # a foreign lock is never removed
+        assert (out / ".lock").exists()  # a live run's lock is never removed
+
+    @pytest.mark.parametrize("text", ["", "garbage\n", "0\n", "-5\n", "99999999999999999999\n"])
+    def test_unreadable_lock_is_usage_error(self, bench_dir, tmp_path, capsys, text):
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".lock").write_text(text)
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(out), "--epochs", "1",
+        )
+        assert code == 1 and "locked" in err
+        assert (out / ".lock").read_text() == text
+
+    def test_stale_lock_is_reclaimed(self, bench_dir, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no process
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".lock").write_text(f"{child.pid}\n")
+        code, stdout, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(out),
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            f"removing stale lock {out / '.lock'}: process {child.pid} is not running"
+        ]
+        assert last_json(stdout)["epochs"] == 1
+        assert not (out / ".lock").exists()
 
     def test_missing_bench_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -298,6 +326,18 @@ class TestTrainEvalPerplexity:
         )
         assert code == 2
         assert "does not match" in err
+
+    @pytest.mark.parametrize("extra", ['"bench": {"seed": 4}', '"grid": {"lr": [0.1]}'])
+    def test_config_file_with_bench_or_grid_is_data_error(self, bench_dir, tmp_path, capsys, extra):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"train": {"epochs": 1}, ' + extra + "}\n")
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir),
+            "--out", str(tmp_path / "r"), "--config", str(cfg_path),
+        )
+        assert code == 2
+        assert "only the 'train' section" in err
+        assert not (tmp_path / "r").exists()
 
     def test_eval_reports_metrics(self, bench_dir, run_dir, capsys):
         code, stdout, _ = run_cli(
@@ -441,6 +481,22 @@ class TestTrainEvalPerplexity:
             "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
         )
         assert code == 2 and "adam_t" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("best_val", "x"), ("epoch", "one"), ("best_epoch", None)]
+    )
+    def test_resume_with_bad_meta_types_is_data_error(
+        self, bench_dir, run_dir, tmp_path, capsys, key, value
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        tensors, meta = load_tensors(run / "last.ckpt")
+        save_tensors(run / "last.ckpt", tensors, {**meta, key: value})
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(run), "--resume",
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
+        )
+        assert code == 2 and "resume metadata" in err
 
 
 class TestSelftest:

@@ -6,6 +6,7 @@ from pcda.config import (
     RunConfig,
     expand_grid,
     load_run_config,
+    load_train_config,
     run_config_from_json,
     run_config_to_json,
     save_run_config,
@@ -91,6 +92,22 @@ class TestRejection:
     def test_invalid_json(self):
         with pytest.raises(DataFormatError, match="invalid JSON"):
             run_config_from_json("{nope")
+
+    @pytest.mark.parametrize("load", [load_run_config, load_train_config])
+    def test_file_that_is_not_utf8(self, tmp_path, load):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"train": {"epochs": 1}}\xff\n')
+        with pytest.raises(DataFormatError, match="invalid JSON"):
+            load(path)
+
+    def test_train_config_reads_only_the_train_section(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"train": {"epochs": 3}}')
+        assert load_train_config(path) == TrainConfig(epochs=3)
+        for extra in ('"bench": {}', '"grid": null'):
+            path.write_text('{"train": {}, ' + extra + "}")
+            with pytest.raises(DataFormatError, match="only the 'train' section"):
+                load_train_config(path)
 
     def test_non_object_top_level(self):
         with pytest.raises(DataFormatError, match="top-level object"):

@@ -1,6 +1,8 @@
 """Two-head encoder network: shapes, pooling, dropout, losses, and the
 analytic-vs-numeric gradient oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,74 @@ class TestBackward:
             err = np.abs(got[k] - want[k]).max() / scale
             assert err <= tol, f"{k}: relative difference {err:.2e}"
         assert np.abs(got["enc1_w"]).max() > 0
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_sparse_pool_backward_finite_differences(self, task):
+        # float64 central differences at layer-5 and layer-4 weights, through
+        # the sparse layer-5 backward of a sup-only or a seg pass, on a batch
+        # with tied rows and channels dead in some clouds
+        params = init_params(3, task=task, seed=5)
+        clouds, _ = pin_clouds("ties")
+        rng = np.random.default_rng(4)
+        if task == "classification":
+            loss_and_grads = classification_loss_and_grads
+            labels = np.eye(3)[rng.integers(0, 3, len(clouds))]
+        else:
+            loss_and_grads = segmentation_loss_and_grads
+            labels = rng.integers(0, 3, clouds.shape[:2])
+
+        def loss_only():
+            return loss_and_grads(params, clouds, labels, mode="train", dropout_seed=2)[0]
+
+        _, grads = loss_and_grads(params, clouds, labels, mode="train", dropout_seed=2)
+        _, trace = forward_pass(params, clouds, heads=())
+        a5 = point_features(params, clouds, 5)
+        assert ((a5 == a5.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties
+        live = trace["global"] > 0
+        mixed = np.flatnonzero(live.any(axis=0) & ~live.all(axis=0))
+        dead = np.flatnonzero(~live.any(axis=0))
+        assert len(mixed) and len(dead)  # channels dead in some clouds, and in all
+        channels = np.concatenate(
+            [rng.choice(mixed, 8, replace=False), rng.choice(dead, 2, replace=False)]
+        )
+        # enc5_w rows read layer 4 at the argmax rows of the first cloud
+        a4_top = trace["acts"][3][trace["argmax"][0, channels]]
+        coords = [
+            *(("enc5_w", int(rng.choice(np.flatnonzero(a)) * GLOBAL_DIM + c))
+              for a, c in zip(a4_top, channels) if a.any()),
+            *(("enc5_b", int(c)) for c in channels),
+            *(("enc4_w", int(i)) for i in rng.choice(params["enc4_w"].size, 10, replace=False)),
+        ]
+        # the seg head's 160 x 256 ReLUs put a kink within 1e-6 of some
+        # coordinates, so it takes a smaller step (and more rounding error)
+        h = 1e-6 if task == "classification" else 1e-7
+        numeric = finite_difference_grad(loss_only, params, coords, h=h)
+        analytic = np.array([grads[name].reshape(-1)[idx] for name, idx in coords])
+        assert (analytic != 0).sum() >= 20
+        assert not grads["enc5_w"][:, dead].any() and not grads["enc5_b"][dead].any()
+        frac, worst = gradient_agreement(analytic, numeric, tol=1e-4)
+        assert frac == 1.0, f"{frac:.3f} of {len(coords)} coords agree (worst {worst:.2e})"
+
+    def test_pool_gradient_is_not_densified(self):
+        # on the argmax rows R, layers 4-1 hold about R x 1027 values (their
+        # gathered inputs and gradients); a dense R x 1024 pool gradient
+        # would double the peak
+        params = init_params(3, seed=0)
+        clouds = np.random.default_rng(0).uniform(-0.5, 0.5, size=(16, 128, 3))
+        _, trace = forward_pass(params, clouds, heads=())
+        live = trace["global"] > 0
+        rows = len(np.unique((trace["argmax"] + np.arange(16)[:, None] * 128)[live]))
+        grads = zeros_like_params(params)
+        dg = np.random.default_rng(1).normal(size=live.shape)
+        tracemalloc.start()
+        try:
+            network._encoder_backward(
+                params, trace, dg, grads, np.empty(0, dtype=np.intp), np.empty((0, POINT_FEAT_DIM))
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows * GLOBAL_DIM * 8, f"peak {peak} bytes for {rows} argmax rows"
 
     @pytest.mark.parametrize("heads", [("sup", "rec"), ("seg", "rec")])
     def test_trace_keeps_no_layer5_activations(self, heads):

@@ -399,6 +399,21 @@ class TestTrainLoop:
             train(src, tgt, tiny_config(epochs=2), str(run), resume=True)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "key, value", [("best_val", "x"), ("epoch", "one"), ("best_epoch", None)]
+    )
+    def test_resume_with_bad_meta_types_rejected(self, tmp_path, key, value):
+        src = tiny_cls_dataset(0)
+        tgt = tiny_cls_dataset(1)
+        run = tmp_path / "r"
+        train(src, tgt, tiny_config(epochs=2), str(run), stop_after=1)
+        tensors, meta = load_tensors(run / "last.ckpt")
+        save_tensors(run / "last.ckpt", tensors, {**meta, key: value})
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(DataFormatError, match="resume metadata"):
+            train(src, tgt, tiny_config(epochs=2), str(run), resume=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_ssl_disabled_trains_source_only(self, tmp_path):
         src = tiny_cls_dataset(0)
         res = train(src, None, tiny_config(ssl_weight=0.0, use_mixup=False), str(tmp_path / "s"))
@@ -506,3 +521,73 @@ class TestRejectBeforeRunDir:
         cfg = tiny_config(epochs=1, deform=DeformSpec(kind="mixed", k_pts=5))
         res = train(src, tgt, cfg, str(tmp_path / "mixed"))
         assert res.metrics[0]["ssl_loss"] is not None
+
+
+def _structure_bytes(tensors: dict, meta: dict) -> list:
+    """Offsets of the .tens bytes that are not tensor data: the header, the
+    metadata block and each tensor's name, dtype and shape (save_tensors'
+    layout, tensors sorted by name)."""
+    meta_len = len(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    offsets = list(range(14 + meta_len))
+    pos = len(offsets)
+    for name in sorted(tensors):
+        arr = tensors[name]
+        head = 2 + len(name.encode()) + 2 + len(arr.dtype.str) + 2 + 8 * arr.ndim
+        offsets.extend(range(pos, pos + head))
+        pos += head + arr.nbytes
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def resumable_run(tmp_path_factory):
+    """A float32 run stopped after one of two epochs: its inputs, config,
+    last.ckpt bytes, and where the checkpoint's structure bytes sit."""
+    src, tgt = tiny_cls_dataset(0), tiny_cls_dataset(1)
+    cfg = tiny_config(dtype="float32")
+    run = tmp_path_factory.mktemp("fuzz") / "run"
+    train(src, tgt, cfg, str(run), stop_after=1)
+    tensors, meta = load_tensors(run / "last.ckpt")
+    return src, tgt, cfg, run, (run / "last.ckpt").read_bytes(), _structure_bytes(tensors, meta)
+
+
+META_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_raises_only_data_format_error(resumable_run, data):
+    # load_checkpoint and train(resume=True) on a damaged last.ckpt either
+    # succeed or raise DataFormatError; stop_after=0 runs no epoch
+    src, tgt, cfg, run, blob, structure = resumable_run
+    damage = data.draw(st.sampled_from(["truncate", "flip", "drop", "meta"]), label="damage")
+    path = run / "last.ckpt"
+    if damage == "truncate":
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    elif damage == "flip":
+        damaged = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.sampled_from(structure), label="at")
+            damaged[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(damaged))
+    else:
+        path.write_bytes(blob)
+        tensors, meta = load_tensors(path)
+        if damage == "drop":
+            names = sorted({k.partition("/")[0] for k in tensors} | set(tensors))
+            gone = data.draw(st.sampled_from(names), label="dropped")
+            tensors = {k: v for k, v in tensors.items() if gone not in (k, k.partition("/")[0])}
+        else:
+            key = data.draw(st.sampled_from(sorted(meta)), label="key")
+            meta[key] = data.draw(META_VALUES, label="value")
+        save_tensors(path, tensors, meta)
+    for load in (
+        lambda: load_checkpoint(path),
+        lambda: train(src, tgt, cfg, str(run), resume=True, stop_after=0),
+    ):
+        try:
+            load()
+        except DataFormatError:
+            pass
