@@ -8,48 +8,4 @@ hand-rolled network with finite-difference-verified gradients, and a
 Gaussian feature-alignment diagnostic.
 """
 
-from .chamfer import ChamferResult, chamfer_distance, chamfer_loss_region
-from .cloud import (
-    LabeledCloud,
-    NeighborIndex,
-    SegLabeledCloud,
-    estimate_normals,
-    farthest_point_sample,
-    jitter,
-    normalize_unit_cube,
-    rotate_z,
-)
-from .config import RunConfig, expand_grid, load_run_config, save_run_config
-from .dataio import Dataset, load_archive, load_cloud, save_archive, save_cloud
-from .deform import (
-    DeformSpec,
-    DeformedPair,
-    apply_deformation,
-    deform_feature_knn,
-    deform_sample,
-    deform_sphere,
-    deform_voxel,
-    sample_region,
-)
-from .errors import DataFormatError, NumericalError, UsageError
-from .evaluation import (
-    ClassGaussians,
-    accuracy,
-    fit_class_gaussians,
-    log_perplexity,
-    mean_iou,
-    project_features,
-)
-from .mixup import MixedSample, mixup_classify, mixup_segment
-from .network import forward_pass, init_params, softmax_cross_entropy
-from .synthbench import BenchConfig, gen_benchmark
-from .training import (
-    TrainConfig,
-    TrainResult,
-    evaluate_classification,
-    evaluate_segmentation,
-    extract_global_features,
-    train,
-)
-
 __version__ = "0.1.0"

@@ -1,120 +1,60 @@
-"""Serializable experiment configuration.
+"""The training-config file that `pcda train --config` reads.
 
-A RunConfig bundles a benchmark recipe, a training recipe, and an optional
-hyperparameter grid over the learning rate, weight decay, and the
-reconstruction loss weight. JSON serialization is canonical (sorted keys,
-two-space indent), so parse(serialize(x)) == x and serializing a parsed
-canonical document reproduces it byte for byte. Unknown keys are rejected
-with the offending path.
+The file is a JSON object `{"train": {...}}` of TrainConfig fields, with a
+nested `deform` object of DeformSpec fields. Unknown keys, values of the
+wrong JSON type and any top-level key but `train` are refused with the
+offending path, so a file is never half-read.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import fields
 
 from .deform import DeformSpec
 from .errors import DataFormatError
-from .synthbench import BenchConfig
 from .training import TrainConfig
 
-GRID_AXES = ("lr", "ssl_weight", "weight_decay")
+# the JSON values a field annotated with each scalar type accepts; a bool
+# is a number to Python but not to a config file
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-@dataclass
-class RunConfig:
-    bench: BenchConfig = field(default_factory=BenchConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    grid: dict | None = None
+def _fits(value, annotation: str) -> bool:
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, _JSON_TYPES[annotation])
 
 
 def _build_dataclass(cls, data, where: str):
     if not isinstance(data, dict):
         raise DataFormatError(f"{where}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    types = {f.name: f.type for f in fields(cls)}  # annotations as strings
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise DataFormatError(f"{where}: unknown keys {unknown}")
     kwargs = dict(data)
-    if cls is TrainConfig and "deform" in kwargs:
-        kwargs["deform"] = _build_dataclass(DeformSpec, kwargs["deform"], f"{where}.deform")
+    for name, value in data.items():
+        if types[name] == "DeformSpec":
+            kwargs[name] = _build_dataclass(DeformSpec, value, f"{where}.{name}")
+        elif not _fits(value, types[name]):
+            raise DataFormatError(f"{where}.{name}: expected {types[name]}, got {value!r}")
+    return cls(**kwargs)
+
+
+def load_train_config(path) -> TrainConfig:
+    """The TrainConfig of a `{"train": {...}}` file. The benchmark comes
+    from `--bench` and a run has one config, so any other top-level key
+    (such as `bench` or `grid`) is refused rather than ignored."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise DataFormatError(f"{where}: {exc}") from None
-
-
-def _check_grid(grid, where: str):
-    if grid is None:
-        return None
-    if not isinstance(grid, dict):
-        raise DataFormatError(f"{where}: expected an object")
-    unknown = sorted(set(grid) - set(GRID_AXES))
-    if unknown:
-        raise DataFormatError(
-            f"{where}: unknown axes {unknown}; supported: {list(GRID_AXES)}"
-        )
-    for axis, values in grid.items():
-        if (
-            not isinstance(values, list)
-            or not values
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-        ):
-            raise DataFormatError(f"{where}.{axis}: expected a non-empty number list")
-    return {k: [float(v) for v in v_list] for k, v_list in grid.items()}
-
-
-def run_config_to_json(cfg: RunConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
-
-
-def run_config_from_json(text: str | bytes) -> RunConfig:
-    try:
-        data = json.loads(text)
+        data = json.loads(blob)  # bytes: bad UTF-8 is a ValueError too
     except ValueError as exc:
         raise DataFormatError(f"config: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DataFormatError("config: expected a top-level object")
-    unknown = sorted(set(data) - {"bench", "train", "grid"})
-    if unknown:
-        raise DataFormatError(f"config: unknown keys {unknown}")
-    return RunConfig(
-        bench=_build_dataclass(BenchConfig, data.get("bench", {}), "config.bench"),
-        train=_build_dataclass(TrainConfig, data.get("train", {}), "config.train"),
-        grid=_check_grid(data.get("grid"), "config.grid"),
-    )
-
-
-def load_run_config(path) -> RunConfig:
-    # bytes: json.loads decodes them and reports bad UTF-8 as a ValueError
-    with open(path, "rb") as fh:
-        return run_config_from_json(fh.read())
-
-
-def load_train_config(path) -> TrainConfig:
-    """The TrainConfig of a RunConfig file that holds only its `train`
-    section, as `pcda train --config` reads it. The benchmark comes from
-    `--bench` and train runs no grid, so `bench` and `grid` keys are refused
-    rather than ignored."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    cfg = run_config_from_json(blob)
-    ignored = sorted(set(json.loads(blob)) & {"bench", "grid"})
-    if ignored:
-        raise DataFormatError(f"config: train reads only the 'train' section, not {ignored}")
-    return cfg.train
-
-
-def save_run_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(run_config_to_json(cfg))
-
-
-def expand_grid(cfg: RunConfig) -> list:
-    """One TrainConfig per grid point, axes varied in sorted-name order."""
-    if not cfg.grid:
-        return [replace(cfg.train)]
-    axes = sorted(cfg.grid)
-    combos = itertools.product(*(cfg.grid[a] for a in axes))
-    return [replace(cfg.train, **dict(zip(axes, combo))) for combo in combos]
+    other = sorted(set(data) - {"train"})
+    if other:
+        raise DataFormatError(f"config: train reads only the 'train' section, not {other}")
+    return _build_dataclass(TrainConfig, data.get("train", {}), "config.train")

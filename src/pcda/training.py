@@ -83,6 +83,10 @@ class TrainConfig:
             raise DataFormatError("dtype must be 'float32' or 'float64'")
         if self.epochs < 1 or self.batch_size < 1:
             raise DataFormatError("epochs and batch_size must be positive")
+        if not self.lr > 0:
+            raise DataFormatError("lr must be positive")
+        if not self.weight_decay >= 0:
+            raise DataFormatError("weight_decay must be non-negative")
         if self.ssl_weight < 0:
             raise DataFormatError("ssl_weight must be non-negative")
         if not 0 <= self.val_fraction < 1:
@@ -433,6 +437,24 @@ def prepare_run(source: Dataset, target: Dataset | None, cfg: TrainConfig) -> tu
     return train_samples, val_set, tgt_pts, steps_per_epoch
 
 
+def _kept_metrics(path: str, start_epoch: int) -> list:
+    """The records of epochs 0 .. start_epoch - 1, the first lines of a
+    run's metrics.jsonl. Later lines belong to epochs a resume re-runs and
+    are dropped unread, so a line torn by a kill during its append is
+    harmless."""
+    kept = []
+    with open(path, "rb") as fh:
+        for epoch in range(start_epoch):
+            try:
+                record = json.loads(fh.readline())  # b"" past the end
+            except ValueError:
+                record = None
+            if not isinstance(record, dict) or record.get("epoch") != epoch:
+                raise DataFormatError(f"{path}: line {epoch + 1} is not epoch {epoch}'s record")
+            kept.append(record)
+    return kept
+
+
 def train(
     source: Dataset,
     target: Dataset | None,
@@ -489,10 +511,7 @@ def train(
             raise DataFormatError(
                 f"{last_path}: adam_t={adam.t}, but {start_epoch} epochs make {want_t} updates"
             )
-        if os.path.exists(metrics_path):
-            with open(metrics_path, "r", encoding="utf-8") as fh:
-                metrics = [json.loads(line) for line in fh if line.strip()]
-            metrics = [m for m in metrics if m["epoch"] < start_epoch]
+        metrics = _kept_metrics(metrics_path, start_epoch)
         # rewrite so appended epochs line up with the checkpoint exactly
         with open(metrics_path, "w", encoding="utf-8") as fh:
             for m in metrics:

@@ -2,8 +2,8 @@
 
 Each test prints one `[criterion N] PASS/FAIL` line with the measured
 numbers (visible with -rA or -s). The heavy directional-adaptation run
-(criterion 6) takes about ten minutes on one core; everything else is
-seconds.
+(criterion 6) takes about five minutes on one core and criterion 7 under
+a minute; everything else is seconds.
 """
 
 import math

@@ -339,6 +339,35 @@ class TestTrainEvalPerplexity:
         assert "only the 'train' section" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 1.5),
+            ("batch_size", 4.0),
+            ("lr", "x"),
+            ("use_mixup", "no"),
+            ("seed", 1.5),
+            ("lr", -1.0),
+            ("radius", True),
+        ],
+    )
+    def test_config_file_with_bad_values_is_data_error(
+        self, bench_dir, tmp_path, capsys, field, value
+    ):
+        train = {"epochs": 1, "batch_size": 4, "dtype": "float32", "deform": {"kind": "sphere"}}
+        if field == "radius":
+            train["deform"][field] = value
+        else:
+            train[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": train}))
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir),
+            "--out", str(tmp_path / "r"), "--config", str(cfg_path),
+        )
+        assert code == 2 and field in err
+        assert not (tmp_path / "r").exists()
+
     def test_eval_reports_metrics(self, bench_dir, run_dir, capsys):
         code, stdout, _ = run_cli(
             capsys, "eval", "--bench", str(bench_dir),
@@ -497,6 +526,20 @@ class TestTrainEvalPerplexity:
             "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
         )
         assert code == 2 and "resume metadata" in err
+
+    def test_resume_with_garbage_metrics_line_is_data_error(
+        self, bench_dir, run_dir, tmp_path, capsys
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        (run / "metrics.jsonl").write_text("garbage\n")
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(run), "--resume",
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
+        )
+        assert code == 2 and "metrics.jsonl" in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 class TestSelftest:

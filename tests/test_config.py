@@ -1,80 +1,87 @@
-"""Run configuration: JSON round trips, unknown-key rejection, grid expansion."""
+"""The train-config file: a run's own config loads back, bad files are refused."""
+
+import json
 
 import pytest
 
-from pcda.config import (
-    RunConfig,
-    expand_grid,
-    load_run_config,
-    load_train_config,
-    run_config_from_json,
-    run_config_to_json,
-    save_run_config,
-)
+from pcda.cloud import LabeledCloud
+from pcda.config import load_train_config
+from pcda.dataio import Dataset
 from pcda.deform import DeformSpec
 from pcda.errors import DataFormatError
-from pcda.synthbench import BenchConfig
-from pcda.training import TrainConfig
+from pcda.training import TrainConfig, train
+
+from conftest import make_cloud
 
 
-def sample_config():
-    return RunConfig(
-        bench=BenchConfig(n_points=128, seed=7),
-        train=TrainConfig(
-            epochs=5,
-            deform=DeformSpec(kind="feature", k_pts=50, layer=2),
-        ),
-        grid={"lr": [1e-3, 5e-4], "ssl_weight": [0.0, 0.25]},
-    )
+def tiny_dataset(seed):
+    samples = [LabeledCloud(points=make_cloud(seed * 100 + i, 24), label=i % 2) for i in range(10)]
+    return Dataset(samples=samples, num_classes=2)
+
+
+def run_config_file(tmp_path, cfg, name="run"):
+    """The config.json that a run of `cfg` writes, wrapped as a config file."""
+    run = tmp_path / name
+    train(tiny_dataset(0), tiny_dataset(1), cfg, str(run), stop_after=0)
+    path = tmp_path / f"{name}.json"
+    path.write_text('{"train": ' + (run / "config.json").read_text() + "}\n")
+    return path
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return load_train_config(path)
+
+
+FEATURE = TrainConfig(
+    batch_size=4, lr=2e-3, use_mixup=False, seed=5, dtype="float32",
+    deform=DeformSpec(kind="feature", k_pts=10, layer=2),
+)
 
 
 class TestRoundTrip:
-    def test_parse_of_serialize_is_identity(self):
-        cfg = sample_config()
-        assert run_config_from_json(run_config_to_json(cfg)) == cfg
-
-    def test_serialize_of_parse_is_byte_stable(self):
-        text = run_config_to_json(sample_config())
-        assert run_config_to_json(run_config_from_json(text)) == text
-
-    def test_defaults_round_trip(self):
-        cfg = RunConfig()
-        assert run_config_from_json(run_config_to_json(cfg)) == cfg
+    def test_defaults_round_trip(self, tmp_path):
+        cfg = TrainConfig(batch_size=4)
+        assert load_train_config(run_config_file(tmp_path, cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
-        cfg = sample_config()
-        path = tmp_path / "run.json"
-        save_run_config(path, cfg)
-        assert load_run_config(path) == cfg
+        assert load_train_config(run_config_file(tmp_path, FEATURE)) == FEATURE
 
-    def test_mixed_deform_round_trips_with_its_own_fields(self):
-        cfg = RunConfig(
-            train=TrainConfig(
-                deform=DeformSpec(kind="mixed", k=2, layer=1, k_pts=30, relocate_sigma=0.0)
-            )
+    def test_mixed_deform_round_trips_with_its_own_fields(self, tmp_path):
+        cfg = TrainConfig(
+            batch_size=4,
+            deform_domains="source-and-target",
+            deform=DeformSpec(kind="mixed", k=2, layer=1, k_pts=10, relocate_sigma=0.0),
         )
-        again = run_config_from_json(run_config_to_json(cfg))
-        assert again.train.deform.k_pts == 30 and again.train.deform.layer == 1
+        again = load_train_config(run_config_file(tmp_path, cfg))
+        assert again.deform.k_pts == 10 and again.deform.layer == 1
         assert again == cfg
 
-    def test_missing_sections_use_defaults(self):
-        cfg = run_config_from_json("{}")
-        assert cfg == RunConfig()
-        assert cfg.grid is None
+    def test_serialize_of_parse_is_byte_stable(self, tmp_path):
+        # a run configured from another run's config.json writes the same
+        # bytes, which is what `--resume` compares against the checkpoint
+        first = run_config_file(tmp_path, FEATURE, "a")
+        second = run_config_file(tmp_path, load_train_config(first), "b")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_sections_use_defaults(self, tmp_path):
+        assert load_text(tmp_path, "{}") == TrainConfig()
+        assert load_text(tmp_path, '{"train": {"epochs": 3}}') == TrainConfig(epochs=3)
 
 
 class TestRejection:
-    def test_unknown_top_level_key(self):
-        with pytest.raises(DataFormatError, match="unknown keys.*extra"):
-            run_config_from_json('{"extra": 1}')
+    def test_unknown_top_level_key(self, tmp_path):
+        with pytest.raises(DataFormatError, match="only the 'train' section.*extra"):
+            load_text(tmp_path, '{"extra": 1}')
 
-    def test_unknown_train_key_names_path(self):
+    def test_unknown_train_key_names_path(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"config\.train.*momentum"):
-            run_config_from_json('{"train": {"momentum": 0.9}}')
+            load_text(tmp_path, '{"train": {"momentum": 0.9}}')
 
-    def test_unknown_nested_deform_key_names_path(self):
-        with pytest.raises(DataFormatError, match=r"config\.train\.deform"):
-            run_config_from_json('{"train": {"deform": {"kind": "sphere", "wobble": 2}}}')
+    def test_unknown_nested_deform_key_names_path(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"config\.train\.deform.*wobble"):
+            load_text(tmp_path, '{"train": {"deform": {"kind": "sphere", "wobble": 2}}}')
 
     @pytest.mark.parametrize(
         "text",
@@ -82,83 +89,62 @@ class TestRejection:
             '{"train": {"deform": {"kind": "mixed", "mixed_volume": {"kind": "sphere"}}}}',
             '{"train": {"deform": {"normals_k": 10}}}',
             '{"train": {"adam_beta1": 0.9}}',
-            '{"bench": {"oversample": 2.0}}',
         ],
     )
-    def test_removed_fields_are_unknown_keys(self, text):
+    def test_removed_fields_are_unknown_keys(self, tmp_path, text):
         with pytest.raises(DataFormatError, match="unknown keys"):
-            run_config_from_json(text)
+            load_text(tmp_path, text)
 
-    def test_invalid_json(self):
+    def test_invalid_json(self, tmp_path):
         with pytest.raises(DataFormatError, match="invalid JSON"):
-            run_config_from_json("{nope")
+            load_text(tmp_path, "{nope")
 
-    @pytest.mark.parametrize("load", [load_run_config, load_train_config])
-    def test_file_that_is_not_utf8(self, tmp_path, load):
-        path = tmp_path / "c.json"
-        path.write_bytes(b'{"train": {"epochs": 1}}\xff\n')
+    def test_file_that_is_not_utf8(self, tmp_path):
         with pytest.raises(DataFormatError, match="invalid JSON"):
-            load(path)
+            load_text(tmp_path, b'{"train": {"epochs": 1}}\xff\n')
 
     def test_train_config_reads_only_the_train_section(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"train": {"epochs": 3}}')
-        assert load_train_config(path) == TrainConfig(epochs=3)
         for extra in ('"bench": {}', '"grid": null'):
-            path.write_text('{"train": {}, ' + extra + "}")
             with pytest.raises(DataFormatError, match="only the 'train' section"):
-                load_train_config(path)
+                load_text(tmp_path, '{"train": {}, ' + extra + "}")
 
-    def test_non_object_top_level(self):
+    def test_non_object_top_level(self, tmp_path):
         with pytest.raises(DataFormatError, match="top-level object"):
-            run_config_from_json("[1, 2]")
+            load_text(tmp_path, "[1, 2]")
 
-    def test_non_object_section(self):
-        with pytest.raises(DataFormatError, match="config.bench"):
-            run_config_from_json('{"bench": 3}')
+    def test_non_object_section(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"config\.train: expected an object"):
+            load_text(tmp_path, '{"train": 3}')
+        with pytest.raises(DataFormatError, match=r"config\.train\.deform: expected an object"):
+            load_text(tmp_path, '{"train": {"deform": []}}')
 
-    def test_unknown_grid_axis(self):
-        with pytest.raises(DataFormatError, match="unknown axes.*batch_size"):
-            run_config_from_json('{"grid": {"batch_size": [16]}}')
-
-    def test_grid_values_must_be_number_lists(self):
-        for bad in ('{"grid": {"lr": []}}', '{"grid": {"lr": 0.1}}', '{"grid": {"lr": ["a"]}}'):
+    def test_semantic_validation_still_applies(self, tmp_path):
+        for text in ('{"train": {"dtype": "float16"}}', '{"train": {"lr": -1.0}}',
+                     '{"train": {"weight_decay": -1e-4}}', '{"train": {"deform": {"k": 0}}}'):
             with pytest.raises(DataFormatError):
-                run_config_from_json(bad)
+                load_text(tmp_path, text)
 
-    def test_grid_bools_rejected(self):
-        with pytest.raises(DataFormatError):
-            run_config_from_json('{"grid": {"lr": [true]}}')
-
-    def test_semantic_validation_still_applies(self):
-        with pytest.raises(DataFormatError):
-            run_config_from_json('{"train": {"dtype": "float16"}}')
-
-
-class TestExpandGrid:
-    def test_no_grid_yields_single_copy(self):
-        cfg = RunConfig(train=TrainConfig(lr=2e-3))
-        out = expand_grid(cfg)
-        assert len(out) == 1
-        assert out[0] == cfg.train
-        assert out[0] is not cfg.train
-
-    def test_cartesian_product_in_sorted_axis_order(self):
-        cfg = RunConfig(grid={"ssl_weight": [0.0, 0.5], "lr": [1e-3, 2e-3, 3e-3]})
-        out = expand_grid(cfg)
-        assert len(out) == 6
-        # axes sorted by name: lr varies slowest, ssl_weight fastest
-        got = [(t.lr, t.ssl_weight) for t in out]
-        want = [(lr, w) for lr in (1e-3, 2e-3, 3e-3) for w in (0.0, 0.5)]
-        assert got == want
-
-    def test_grid_overrides_base_train_values(self):
-        cfg = RunConfig(train=TrainConfig(lr=9.0), grid={"lr": [1e-4]})
-        out = expand_grid(cfg)
-        assert out[0].lr == 1e-4
-        assert out[0].epochs == cfg.train.epochs
-
-    def test_single_axis(self):
-        cfg = RunConfig(grid={"weight_decay": [0.0, 1e-4]})
-        out = expand_grid(cfg)
-        assert [t.weight_decay for t in out] == [0.0, 1e-4]
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 1.5),
+            ("batch_size", 8.0),
+            ("seed", 1.5),
+            ("seed", True),
+            ("lr", "x"),
+            ("lr", False),
+            ("use_mixup", "no"),
+            ("use_mixup", 0),
+            ("dtype", 32),
+            ("deform.k", 2.5),
+            ("deform.radius", "0.2"),
+            ("deform.kind", None),
+        ],
+    )
+    def test_value_of_the_wrong_type(self, tmp_path, field, value):
+        outer, _, inner = field.rpartition(".")
+        section = {inner: value}
+        if outer:
+            section = {outer: section}
+        with pytest.raises(DataFormatError, match=rf"config\.train\.{field}: expected"):
+            load_text(tmp_path, json.dumps({"train": section}))

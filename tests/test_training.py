@@ -414,6 +414,34 @@ class TestTrainLoop:
             train(src, tgt, tiny_config(epochs=2), str(run), resume=True)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    @pytest.mark.parametrize("torn", [b'{"epoch": 1, "sup_lo', b'{"epoch": 1}\n\xff\xfe'])
+    def test_resume_after_a_torn_metrics_line_matches_uninterrupted(self, tmp_path, torn):
+        # a kill during an epoch's append leaves a partial line of an epoch
+        # that the checkpoint does not hold and the resume re-runs
+        src = tiny_cls_dataset(0)
+        tgt = tiny_cls_dataset(1)
+        train(src, tgt, tiny_config(), str(tmp_path / "full"))
+        run = tmp_path / "part"
+        train(src, tgt, tiny_config(), str(run), stop_after=1)
+        with open(run / "metrics.jsonl", "ab") as fh:
+            fh.write(torn)
+        train(src, tgt, tiny_config(), str(run), resume=True)
+        for name in ("metrics.jsonl", "last.ckpt", "best.ckpt"):
+            assert (tmp_path / "full" / name).read_bytes() == (run / name).read_bytes(), name
+
+    @pytest.mark.parametrize("line", [b"garbage\n", b'{"epoch": 0}\n', b"[0]\n", b"\n", b""])
+    def test_resume_with_a_bad_kept_metrics_line_rejected(self, tmp_path, line):
+        src = tiny_cls_dataset(0)
+        tgt = tiny_cls_dataset(1)
+        run = tmp_path / "r"
+        train(src, tgt, tiny_config(epochs=3), str(run), stop_after=2)
+        lines = (run / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        (run / "metrics.jsonl").write_bytes(lines[0] + line)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(DataFormatError, match="line 2 is not epoch 1's record"):
+            train(src, tgt, tiny_config(epochs=3), str(run), resume=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_ssl_disabled_trains_source_only(self, tmp_path):
         src = tiny_cls_dataset(0)
         res = train(src, None, tiny_config(ssl_weight=0.0, use_mixup=False), str(tmp_path / "s"))
@@ -479,6 +507,10 @@ class TestTrainConfigValidation:
             dict(mixup_beta=-1.0),
             dict(jitter_sigma=-0.01),
             dict(jitter_clip=-0.01),
+            dict(lr=0.0),
+            dict(lr=-1.0),
+            dict(lr=float("nan")),
+            dict(weight_decay=-1e-4),
         ],
     )
     def test_invalid_rejected(self, kw):
