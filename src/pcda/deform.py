@@ -58,7 +58,7 @@ class DeformSpec:
             raise DataFormatError(f"unknown deformation kind {self.kind!r}")
         if self.kind in ("voxel", "mixed") and self.k < 1:
             raise DataFormatError("voxel grid resolution must be >= 1")
-        if self.kind == "sphere" and self.radius <= 0:
+        if self.kind == "sphere" and not self.radius > 0:
             raise DataFormatError("sphere radius must be positive")
         if self.kind in FEATURE_KINDS and self.k_pts < 1:
             raise DataFormatError("feature region size must be >= 1")
@@ -66,7 +66,7 @@ class DeformSpec:
             raise DataFormatError(f"feature layer must be in 1..{len(ENCODER_WIDTHS)}")
         if not 0 < self.sample_cap_fraction <= 1:
             raise DataFormatError("sample_cap_fraction must be in (0, 1]")
-        if self.relocate_sigma < 0:
+        if not self.relocate_sigma >= 0:
             raise DataFormatError("relocate_sigma must be non-negative")
 
 
@@ -121,7 +121,7 @@ def deform_sphere(points, radius: float = 0.2, relocate_sigma: float = 0.05, see
     """Replace all points within a fixed radius of a random data point with
     Gaussian samples around that point."""
     pts = check_cloud(points)
-    if radius <= 0:
+    if not radius > 0:
         raise DataFormatError("sphere radius must be positive")
     rng = as_rng(seed)
     center = pts[rng.integers(len(pts))].copy()

@@ -15,16 +15,18 @@ Forward and backward passes are written out explicitly; gradients are pinned
 against central finite differences in the test suite. All arrays follow the
 parameter dtype (float64 by default, float32 supported for speed).
 
-Layer 5 is fused with the max-pool one cloud at a time, so its per-point
-activations are not kept: the trace holds layers 1-4, the global feature and
-the argmax row of each channel. Only those rows get a gradient through the
-pool, one channel per live (cloud, channel) pair, so layer 5's backward is
-a sparse product over those pairs, and layers 4-1 run on the argmax rows
-plus the rows a per-point head sends a gradient to. The per-point heads
-run on a set of rows. forward_pass gives them every point, so eval and seg
-stay dense. The training reconstruction loss reads only the deformed region,
-so it runs the rec head on the region rows alone, and layers 4-1 on the
-region and argmax rows.
+Layer 5 is fused with the max-pool one cloud at a time: each cloud's block
+is one channel-major (1024, n) GEMM, a bias add and one argmax pass over
+each channel's row, and the ReLU runs on the (B, 1024) maxima alone. Its
+per-point activations are not kept: the trace holds layers 1-4, the global
+feature and the argmax row of each channel. Only those rows get a gradient
+through the pool, one channel per live (cloud, channel) pair, so layer 5's
+backward is a sparse product over those pairs, and layers 4-1 run on the
+argmax rows plus the rows a per-point head sends a gradient to. The
+per-point heads run on a set of rows. forward_pass gives them every point,
+so eval and seg stay dense. The training reconstruction loss reads only the
+deformed region, so it runs the rec head on the region rows alone, and
+layers 4-1 on the region and argmax rows.
 """
 
 from __future__ import annotations
@@ -131,26 +133,43 @@ def _layer5_max_pool(params, a4):
     of each channel's maximum, the first (lowest) one on ties as
     np.argmax(axis=0) gives.
 
-    Each cloud's (n, 1024) block of layer-5 activations is built, pooled
-    and dropped, so the batch's per-point layer-5 activations never exist.
-    Raises NumericalError if a maximum is not finite (NaN or inf).
+    Each cloud's block of layer-5 pre-activations is built channel-major,
+    as one (1024, n) GEMM into a reused buffer; the bias is added in place
+    and one argmax pass over each channel's contiguous row gives its
+    maximum. The batch's per-point layer-5 activations never exist, and the
+    ReLU runs on the (B, 1024) maxima alone: it is monotone, so it keeps
+    the first maximum of a live channel, and a channel whose maximum is
+    <= 0 is dead, with g = 0 and argmax row 0.
+
+    The block's rows are padded with zeros to a multiple of 8. Over a
+    ragged row count, OpenBLAS's float64 GEMM in this layout can give other
+    bits than a row-major a4 @ W5, and other bits again at another BLAS
+    thread count; over padded rows it matches a4 @ W5 bit for bit. The
+    padding columns are set to -inf, so they never hold a maximum.
+    Raises NumericalError if a maximum is not finite (NaN or +inf).
     """
     B, n, _ = a4.shape
     w5, b5 = params["enc5_w"], params["enc5_b"]
-    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    m = -(-n // 8) * 8
+    rows = np.zeros((m, a4.shape[2]), dtype=w5.dtype)
+    zt = np.empty((GLOBAL_DIM, m), dtype=w5.dtype)
     channels = np.arange(GLOBAL_DIM)
-    z = np.empty((n, GLOBAL_DIM), dtype=w5.dtype)
     g = np.empty((B, GLOBAL_DIM), dtype=w5.dtype)
     argmax = np.empty((B, GLOBAL_DIM), dtype=np.intp)
     for b in range(B):
-        np.matmul(a4[b], w5, out=z)
-        z += b5
-        np.maximum(z, 0.0, out=z)
-        top = z.max(axis=0)  # NaN if the column holds one
-        if not np.isfinite(top).all():
-            raise NumericalError("numerical overflow in encoder activations")
-        argmax[b] = n - ((z == top) * rank).max(axis=0)
-        g[b] = z[argmax[b], channels]
+        src = a4[b]
+        if m > n:
+            rows[:n] = src
+            src = rows
+        np.matmul(w5.T, src.T, out=zt)
+        zt += b5[:, None]
+        zt[:, n:] = -np.inf
+        argmax[b] = zt.argmax(axis=1)  # NaN wins, as the first NaN row
+        g[b] = zt[channels, argmax[b]]
+    argmax[g <= 0] = 0
+    np.maximum(g, 0.0, out=g)
+    if not np.isfinite(g).all():
+        raise NumericalError("numerical overflow in encoder activations")
     return g, argmax
 
 

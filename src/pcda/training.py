@@ -87,13 +87,13 @@ class TrainConfig:
             raise DataFormatError("lr must be positive")
         if not self.weight_decay >= 0:
             raise DataFormatError("weight_decay must be non-negative")
-        if self.ssl_weight < 0:
+        if not self.ssl_weight >= 0:
             raise DataFormatError("ssl_weight must be non-negative")
         if not 0 <= self.val_fraction < 1:
             raise DataFormatError("val_fraction must be in [0, 1)")
-        if self.mixup_alpha <= 0 or self.mixup_beta <= 0:
+        if not (self.mixup_alpha > 0 and self.mixup_beta > 0):
             raise DataFormatError("mixup_alpha and mixup_beta must be positive")
-        if self.jitter_sigma < 0 or self.jitter_clip < 0:
+        if not (self.jitter_sigma >= 0 and self.jitter_clip >= 0):
             raise DataFormatError("jitter_sigma and jitter_clip must be non-negative")
 
 

@@ -349,6 +349,8 @@ class TestTrainEvalPerplexity:
             ("seed", 1.5),
             ("lr", -1.0),
             ("radius", True),
+            ("ssl_weight", float("nan")),
+            ("radius", float("nan")),
         ],
     )
     def test_config_file_with_bad_values_is_data_error(
@@ -364,6 +366,15 @@ class TestTrainEvalPerplexity:
         code, _, err = run_cli(
             capsys, "train", "--bench", str(bench_dir),
             "--out", str(tmp_path / "r"), "--config", str(cfg_path),
+        )
+        assert code == 2 and field in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag, field", [("--ssl-weight", "ssl_weight"), ("--alpha", "mixup_alpha")])
+    def test_nan_flag_is_data_error(self, bench_dir, tmp_path, capsys, flag, field):
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(tmp_path / "r"),
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", flag, "nan",
         )
         assert code == 2 and field in err
         assert not (tmp_path / "r").exists()

@@ -273,9 +273,11 @@ class TestSpecValidation:
             dict(kind="nope"),
             dict(kind="voxel", k=0),
             dict(kind="sphere", radius=0.0),
+            dict(kind="sphere", radius=float("nan")),
             dict(kind="feature", k_pts=0),
             dict(kind="split", sample_cap_fraction=0.0),
             dict(kind="voxel", relocate_sigma=-1.0),
+            dict(kind="voxel", relocate_sigma=float("nan")),
             dict(kind="feature", layer=0),
             dict(kind="feature", layer=6),
             dict(kind="mixed", layer=6),

@@ -1,6 +1,9 @@
 """Two-head encoder network: shapes, pooling, dropout, losses, and the
 analytic-vs-numeric gradient oracle."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,7 +32,9 @@ from pcda.network import (
     segmentation_loss_and_grads,
     softmax_cross_entropy,
     zeros_like_params,
+    _encode,
     _head_backward,
+    _layer5_max_pool,
 )
 from pcda.selfcheck import (
     check_network_gradients,
@@ -207,6 +212,93 @@ class TestForward:
         assert param_dtype(params32) == np.float32
         out, _ = forward_pass(params32, make_cloud(0, 8), heads=("sup",))
         assert out["logits"].dtype == np.float32
+
+
+def dense_max_pool(params, a4):
+    """The max-pool before the channel-major one, kept as a reference:
+    relu(a4 @ W5 + b5) on every row, then each channel's maximum and its
+    first row."""
+    B, n, d = a4.shape
+    z = a4.reshape(B * n, d) @ params["enc5_w"] + params["enc5_b"]
+    z = np.maximum(z, 0.0).reshape(B, n, GLOBAL_DIM)
+    return z.max(axis=1), z.argmax(axis=1)
+
+
+def pool_case(case, dtype):
+    """(params, layer-4 activations) of the pool pin; the biases have mixed
+    signs, so some channels are dead in some clouds or in all of them."""
+    params = init_params(3, seed=5, dtype=dtype)
+    rng = np.random.default_rng(11)
+    params["enc5_b"] = rng.normal(0.0, 0.3, GLOBAL_DIM).astype(dtype)
+    params["enc5_b"][:8] = -5.0
+    if case == "ties":
+        clouds, _ = pin_clouds("ties")
+    else:  # a ragged row count: above 192 and not a multiple of 8
+        clouds = rng.uniform(-0.5, 0.5, size=(2, 300, 3))
+    B, n, _ = clouds.shape
+    x = np.asarray(clouds, dtype=dtype).reshape(B * n, 3)
+    return params, _encode(params, x, 4)[3].reshape(B, n, -1)
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["ties", "ragged"])
+    def test_matches_dense_reference(self, dtype, case):
+        params, a4 = pool_case(case, dtype)
+        g, argmax = _layer5_max_pool(params, a4)
+        want_g, want_argmax = dense_max_pool(params, a4)
+        assert g.dtype == dtype
+        assert np.array_equal(g, want_g)
+        assert np.array_equal(argmax, want_argmax)
+        assert (g == 0).all(axis=0).any()  # dead in every cloud
+        assert ((g == 0).any(axis=0) & (g > 0).any(axis=0)).any()  # dead in some
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, value):
+        params, a4 = pool_case("ties", np.float64)
+        a4 = a4.copy()
+        a4[2, 5] = 0.0
+        a4[2, 5, 0] = value  # a NaN row, or +inf where enc5_w[0] > 0
+        with pytest.raises(NumericalError):
+            _layer5_max_pool(params, a4)
+
+    def test_column_of_minus_inf_is_a_dead_channel(self):
+        params, a4 = pool_case("ties", np.float64)
+        params["enc5_b"][100] = -np.inf
+        g, argmax = _layer5_max_pool(params, a4)
+        assert (g[:, 100] == 0).all() and (argmax[:, 100] == 0).all()
+
+
+THREAD_PROBE = """
+import numpy as np
+from pcda.network import forward_pass, init_params
+clouds = np.random.default_rng(3).uniform(-0.5, 0.5, size=(3, 300, 3))
+for task, head in (("classification", "sup"), ("segmentation", "seg")):
+    for dtype in (np.float32, np.float64):
+        params = init_params(4, task=task, seed=1, dtype=dtype)
+        out, trace = forward_pass(params, clouds, heads=(head, "rec"))
+        for key, arr in sorted(out.items()) + [("argmax", trace["argmax"])]:
+            print(task, dtype.__name__, key, arr.tobytes().hex())
+"""
+
+
+def test_forward_pass_bits_do_not_depend_on_blas_threads():
+    # 300 points per cloud: a ragged row count for the layer-5 GEMM
+    src = os.path.dirname(os.path.dirname(os.path.abspath(network.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.splitlines())
+    assert [len(lines) for lines in runs] == [2 * 2 * 4] * 2
+    differ = [one.split()[:3] for one, two in zip(*runs) if one != two]
+    assert not differ
 
 
 def dense_backward(params, trace, **upstream):

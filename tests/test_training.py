@@ -511,6 +511,11 @@ class TestTrainConfigValidation:
             dict(lr=-1.0),
             dict(lr=float("nan")),
             dict(weight_decay=-1e-4),
+            dict(ssl_weight=float("nan")),
+            dict(mixup_alpha=float("nan")),
+            dict(mixup_beta=float("nan")),
+            dict(jitter_sigma=float("nan")),
+            dict(jitter_clip=float("nan")),
         ],
     )
     def test_invalid_rejected(self, kw):
