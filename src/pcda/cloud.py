@@ -15,6 +15,9 @@ from scipy.spatial import cKDTree
 
 from .errors import DataFormatError
 
+FPS_BLOCK = 1 << 14  # points per block of farthest_point_sample
+
+
 def as_rng(seed) -> np.random.Generator:
     """Coerce an int seed, SeedSequence, or Generator into a Generator."""
     if isinstance(seed, np.random.Generator):
@@ -81,37 +84,68 @@ def normalize_unit_cube(points: np.ndarray) -> np.ndarray:
     return np.clip((pts - center) / extent, -0.5, 0.5)
 
 
-def farthest_point_sample(points: np.ndarray, m: int, seed=None) -> np.ndarray:
-    """Greedy subsampling of m indices maximizing minimum pairwise distance.
+def farthest_point_sample(clouds, m: int, seeds) -> list:
+    """Greedy subsampling of m indices per cloud maximizing minimum pairwise
+    distance.
 
-    The first index is drawn uniformly from the seed; each subsequent index
-    maximizes the distance to the nearest already-selected point. Distance
-    ties are broken by lowest index. Returns an int64 index array of length m.
+    `clouds` is a sequence of (n_i, 3) clouds, whose sizes may differ, and
+    `seeds` holds one seed per cloud. Each cloud's first index is drawn as
+    `as_rng(seed).integers(n_i)`; each subsequent index maximizes the squared
+    distance (dx² + dy²) + dz² to the nearest already-selected point, ties
+    broken by lowest index. Returns one int64 index array of length m per
+    cloud.
+
+    The clouds are sampled together in blocks of about FPS_BLOCK points, one
+    set of NumPy calls per greedy step and block; every pick is bitwise the
+    one a greedy loop over each cloud alone makes.
     """
-    pts = check_cloud(points)
-    n = len(pts)
-    if not 1 <= m <= n:
-        raise DataFormatError(f"sample size exceeds cloud size ({m} > {n})")
-    rng = as_rng(seed)
-    selected = np.empty(m, dtype=np.int64)
-    selected[0] = rng.integers(n)
-    cols = pts.T.copy()  # contiguous x, y, z rows
+    clouds = [check_cloud(c) for c in clouds]
+    if len(seeds) != len(clouds):
+        raise DataFormatError(f"{len(seeds)} seeds for {len(clouds)} clouds")
+    sizes = [len(c) for c in clouds]
+    for n in sizes:
+        if not 1 <= m <= n:
+            raise DataFormatError(f"sample size exceeds cloud size ({m} > {n})")
+    firsts = [as_rng(s).integers(n) for s, n in zip(seeds, sizes)]
+    out = []
+    per_block = max(1, FPS_BLOCK // max(sizes, default=1))
+    for start in range(0, len(clouds), per_block):
+        block = clouds[start : start + per_block]
+        out.extend(_fps_block(block, m, firsts[start : start + per_block]))
+    return out
 
-    def sq_dist(i):
+
+def _fps_block(clouds, m, firsts):
+    """Greedy FPS of a block of clouds laid out as contiguous (C, n) x, y and
+    z rows; a short cloud is padded with its first point and its padding
+    never wins, because its distance stays -inf."""
+    C, n = len(clouds), max(len(c) for c in clouds)
+    cols = np.empty((3, C, n))
+    for c, pts in enumerate(clouds):
+        cols[:, c, : len(pts)] = pts.T
+        cols[:, c, len(pts) :] = pts[0][:, None]
+    rows = np.arange(C)
+    selected = np.empty((C, m), dtype=np.int64)
+    selected[:, 0] = firsts
+    d = np.empty_like(cols)
+
+    def sq_dist(picks):
         # (dx² + dy²) + dz², the order of ((pts - pts[i]) ** 2).sum(axis=1)
-        d = cols - cols[:, i : i + 1]
-        d *= d
+        np.subtract(cols, cols[:, rows, picks][:, :, None], out=d)
+        np.multiply(d, d, out=d)
         d[0] += d[1]
         d[0] += d[2]
         return d[0]
 
     # squared distances to the nearest selected point so far
-    best = sq_dist(selected[0])
+    best = sq_dist(selected[:, 0]).copy()
+    for c, pts in enumerate(clouds):
+        best[c, len(pts) :] = -np.inf
     for i in range(1, m):
-        nxt = int(best.argmax())  # argmax takes the lowest index on ties
-        selected[i] = nxt
-        np.minimum(best, sq_dist(nxt), out=best)
-    return selected
+        picks = best.argmax(axis=1)  # argmax takes the lowest index on ties
+        selected[:, i] = picks
+        np.minimum(best, sq_dist(picks), out=best)
+    return list(selected)
 
 
 def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:

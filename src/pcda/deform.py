@@ -16,6 +16,7 @@ its variant (voxel, feature or split) with the spec's own parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,8 +67,8 @@ class DeformSpec:
             raise DataFormatError(f"feature layer must be in 1..{len(ENCODER_WIDTHS)}")
         if not 0 < self.sample_cap_fraction <= 1:
             raise DataFormatError("sample_cap_fraction must be in (0, 1]")
-        if not self.relocate_sigma >= 0:
-            raise DataFormatError("relocate_sigma must be non-negative")
+        if not (self.relocate_sigma >= 0 and math.isfinite(self.relocate_sigma)):
+            raise DataFormatError("relocate_sigma must be non-negative and finite")
 
 
 @dataclass

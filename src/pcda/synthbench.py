@@ -5,9 +5,10 @@ geometric primitives. The target domain holds the same kinds of shapes put
 through a scan-like corruption: a stochastically selected region is deleted
 (reusing the hyperplane-split / density-ramp / visibility selection
 machinery), the remainder is resampled with a directional density bias,
-jittered, renormalized, and reduced to the working resolution by farthest
-point sampling. Labels are never used to corrupt, so target labels stay
-valid for evaluation.
+jittered and renormalized. Every cloud of both domains is then reduced to
+the working resolution by farthest point sampling, one call per split that
+samples its clouds together in blocks. Labels are never used to corrupt, so
+target labels stay valid for evaluation.
 
 The segmentation variant builds a four-part lamp (base slab, pole, ring,
 top cone) with per-point part labels that ride along through every
@@ -231,7 +232,12 @@ def make_lamp(rng, n: int):
 
 def corrupt_to_target(points, cfg: BenchConfig, rng, point_labels=None):
     """Scan-like corruption: regional deletion, density-biased thinning,
-    jitter, renormalization, farthest point sampling to cfg.n_points."""
+    jitter and renormalization into the unit cube.
+
+    Returns the corrupted cloud, of at least cfg.n_points rows, and its
+    per-point labels (None without `point_labels`). Reducing it to
+    cfg.n_points by farthest point sampling is left to the caller, which
+    samples a whole split at once."""
     pts = np.asarray(points, dtype=np.float64)
     m = len(pts)
     if m < cfg.n_points:
@@ -256,52 +262,49 @@ def corrupt_to_target(points, cfg: BenchConfig, rng, point_labels=None):
     if cfg.target_jitter > 0.0:
         out = jitter(out, sigma=cfg.target_jitter, clip=2.0 * cfg.target_jitter, seed=rng)
     out = normalize_unit_cube(out)
-    sel = farthest_point_sample(out, cfg.n_points, seed=rng)
     if point_labels is not None:
-        return out[sel], np.asarray(point_labels)[keep][sel]
-    return out[sel], None
+        return out, np.asarray(point_labels)[keep]
+    return out, None
 
 
 def _sample_rng(cfg: BenchConfig, split: str, index: int):
     return as_rng(np.random.SeedSequence([cfg.seed, SPLIT_CODES[split], index]))
 
 
-def _build_classification(cfg: BenchConfig, split: str, count: int) -> Dataset:
+def _build(cfg: BenchConfig, split: str, count: int) -> Dataset:
+    """One split: each sample from its own (seed, split, index) RNG, whose
+    last draw is the first index of one FPS call over the whole split."""
     corrupted = split.startswith("target")
     m = int(np.ceil(OVERSAMPLE * cfg.n_points))
-    samples = []
+    rngs, clouds, point_labels = [], [], []
     for i in range(count):
         rng = _sample_rng(cfg, split, i)
-        label = i % cfg.num_classes
-        pts = make_primitive(PRIMITIVES[label], rng, m)
-        if corrupted:
-            pts, _ = corrupt_to_target(pts, cfg, rng)
+        if cfg.segmentation:
+            pts, labels = make_lamp(rng, m)
         else:
-            pts = pts[farthest_point_sample(pts, cfg.n_points, seed=rng)]
-        samples.append(LabeledCloud(points=pts, label=label))
-    return Dataset(samples=samples, num_classes=cfg.num_classes)
-
-
-def _build_segmentation(cfg: BenchConfig, split: str, count: int) -> Dataset:
-    corrupted = split.startswith("target")
-    m = int(np.ceil(OVERSAMPLE * cfg.n_points))
-    samples = []
-    for i in range(count):
-        rng = _sample_rng(cfg, split, i)
-        pts, labels = make_lamp(rng, m)
+            pts, labels = make_primitive(PRIMITIVES[i % cfg.num_classes], rng, m), None
         if corrupted:
             pts, labels = corrupt_to_target(pts, cfg, rng, point_labels=labels)
-        else:
-            sel = farthest_point_sample(pts, cfg.n_points, seed=rng)
-            pts, labels = pts[sel], labels[sel]
-        samples.append(SegLabeledCloud(points=pts, labels=labels))
-    return Dataset(samples=samples, num_classes=cfg.num_parts)
+        rngs.append(rng)
+        clouds.append(pts)
+        point_labels.append(labels)
+    picks = farthest_point_sample(clouds, cfg.n_points, rngs)
+    if cfg.segmentation:
+        samples = [
+            SegLabeledCloud(points=pts[sel], labels=labels[sel])
+            for pts, labels, sel in zip(clouds, point_labels, picks)
+        ]
+        return Dataset(samples=samples, num_classes=cfg.num_parts)
+    samples = [
+        LabeledCloud(points=pts[sel], label=i % cfg.num_classes)
+        for i, (pts, sel) in enumerate(zip(clouds, picks))
+    ]
+    return Dataset(samples=samples, num_classes=cfg.num_classes)
 
 
 def gen_benchmark(cfg: BenchConfig):
     """All four splits plus a metadata dict describing the benchmark."""
-    build = _build_segmentation if cfg.segmentation else _build_classification
-    splits = {name: build(cfg, name, getattr(cfg, name)) for name in SPLIT_CODES}
+    splits = {name: _build(cfg, name, getattr(cfg, name)) for name in SPLIT_CODES}
     meta = {
         "kind": "segmentation" if cfg.segmentation else "classification",
         "classes": (

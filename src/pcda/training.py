@@ -12,6 +12,7 @@ exact same trajectory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -83,18 +84,18 @@ class TrainConfig:
             raise DataFormatError("dtype must be 'float32' or 'float64'")
         if self.epochs < 1 or self.batch_size < 1:
             raise DataFormatError("epochs and batch_size must be positive")
-        if not self.lr > 0:
-            raise DataFormatError("lr must be positive")
-        if not self.weight_decay >= 0:
-            raise DataFormatError("weight_decay must be non-negative")
-        if not self.ssl_weight >= 0:
-            raise DataFormatError("ssl_weight must be non-negative")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise DataFormatError("lr must be positive and finite")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise DataFormatError("weight_decay must be non-negative and finite")
+        if not (self.ssl_weight >= 0 and math.isfinite(self.ssl_weight)):
+            raise DataFormatError("ssl_weight must be non-negative and finite")
         if not 0 <= self.val_fraction < 1:
             raise DataFormatError("val_fraction must be in [0, 1)")
-        if not (self.mixup_alpha > 0 and self.mixup_beta > 0):
-            raise DataFormatError("mixup_alpha and mixup_beta must be positive")
-        if not (self.jitter_sigma >= 0 and self.jitter_clip >= 0):
-            raise DataFormatError("jitter_sigma and jitter_clip must be non-negative")
+        if not all(x > 0 and math.isfinite(x) for x in (self.mixup_alpha, self.mixup_beta)):
+            raise DataFormatError("mixup_alpha and mixup_beta must be positive and finite")
+        if not all(x >= 0 and math.isfinite(x) for x in (self.jitter_sigma, self.jitter_clip)):
+            raise DataFormatError("jitter_sigma and jitter_clip must be non-negative and finite")
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:

@@ -351,6 +351,7 @@ class TestTrainEvalPerplexity:
             ("radius", True),
             ("ssl_weight", float("nan")),
             ("radius", float("nan")),
+            ("ssl_weight", float("inf")),
         ],
     )
     def test_config_file_with_bad_values_is_data_error(
@@ -370,14 +371,25 @@ class TestTrainEvalPerplexity:
         assert code == 2 and field in err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("flag, field", [("--ssl-weight", "ssl_weight"), ("--alpha", "mixup_alpha")])
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--ssl-weight", "ssl_weight"),
+            ("--alpha", "mixup_alpha"),
+            ("--jitter-sigma", "jitter_sigma"),
+        ],
+    )
     def test_nan_flag_is_data_error(self, bench_dir, tmp_path, capsys, flag, field):
-        code, _, err = run_cli(
-            capsys, "train", "--bench", str(bench_dir), "--out", str(tmp_path / "r"),
-            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", flag, "nan",
-        )
-        assert code == 2 and field in err
-        assert not (tmp_path / "r").exists()
+        # inf too: each would otherwise make the run directory, then fail or
+        # train on a meaningless value
+        for value in ("nan", "inf"):
+            out = tmp_path / value
+            code, _, err = run_cli(
+                capsys, "train", "--bench", str(bench_dir), "--out", str(out),
+                "--epochs", "1", "--batch-size", "4", "--dtype", "float32", flag, value,
+            )
+            assert code == 2 and field in err
+            assert not out.exists()
 
     def test_eval_reports_metrics(self, bench_dir, run_dir, capsys):
         code, stdout, _ = run_cli(

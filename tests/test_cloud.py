@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcda import cloud
 from pcda.cloud import (
     NeighborIndex,
     check_cloud,
@@ -16,7 +17,7 @@ from pcda.cloud import (
 )
 from pcda.errors import DataFormatError
 
-from conftest import make_cloud
+from conftest import greedy_fps, make_cloud
 
 
 class TestCheckCloud:
@@ -67,7 +68,7 @@ class TestFarthestPointSample:
         for seed in range(50):
             if np.random.default_rng(seed).integers(3) == 0:
                 break
-        idx = farthest_point_sample(pts, 3, seed=seed)
+        [idx] = farthest_point_sample([pts], 3, [seed])
         assert list(idx) == [0, 2, 1]
 
     @settings(max_examples=30, deadline=None)
@@ -75,7 +76,8 @@ class TestFarthestPointSample:
     def test_indices_valid_and_unique(self, seed, n, frac):
         pts = make_cloud(seed, n)
         m = max(1, int(frac * n))
-        idx = farthest_point_sample(pts, m, seed=seed)
+        [idx] = farthest_point_sample([pts], m, [seed])
+        assert idx.dtype == np.int64
         assert len(idx) == m
         assert len(np.unique(idx)) == m
         assert idx.min() >= 0 and idx.max() < n
@@ -83,7 +85,7 @@ class TestFarthestPointSample:
     def test_greedy_min_distance_monotone(self):
         # each newly added point's distance to the chosen set never increases
         pts = make_cloud(3, 64)
-        idx = farthest_point_sample(pts, 20, seed=1)
+        [idx] = farthest_point_sample([pts], 20, [1])
         dists = []
         for i in range(1, len(idx)):
             chosen = pts[idx[:i]]
@@ -91,23 +93,46 @@ class TestFarthestPointSample:
             dists.append(d)
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
 
-    def test_matches_reference_greedy_with_ties(self):
+    def test_matches_reference_greedy_with_ties(self, monkeypatch):
         # bitwise the same picks as the plain greedy loop, on a grid full of
-        # distance ties
-        pts = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
-        pts = np.concatenate([pts, make_cloud(5, 30)])
+        # distance ties: one cloud alone, then a ragged batch over several
+        # blocks, with a cloud of exactly m points
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+        pts = np.concatenate([grid, make_cloud(5, 30)])
         for seed in range(3):
-            idx = farthest_point_sample(pts, 40, seed=seed)
-            want = [idx[0]]
-            best = ((pts - pts[idx[0]]) ** 2).sum(axis=1)
-            for _ in range(39):
-                want.append(int(np.argmax(best)))
-                best = np.minimum(best, ((pts - pts[want[-1]]) ** 2).sum(axis=1))
-            assert list(idx) == want
+            [idx] = farthest_point_sample([pts], 40, [seed])
+            first = np.random.default_rng(seed).integers(len(pts))
+            assert list(idx) == greedy_fps(pts, first, 40)
+        # the extra points lie on a 0.6 lattice over the grid, where the order
+        # of the squared-distance sum changes some clouds' picks
+        rng = np.random.default_rng(11)
+        clouds = [np.concatenate([grid, rng.integers(0, 6, size=(rng.integers(0, 61), 3)) * 0.6])
+                  for _ in range(39)]
+        clouds.insert(17, make_cloud(7, 40))
+        monkeypatch.setattr(cloud, "FPS_BLOCK", 300)  # two clouds a block
+        seeds = list(range(len(clouds)))
+        picks = farthest_point_sample(clouds, 40, seeds)
+        assert len(picks) == len(clouds)
+        for c, seed, idx in zip(clouds, seeds, picks):
+            first = np.random.default_rng(seed).integers(len(c))
+            assert list(idx) == greedy_fps(c, first, 40)
 
     def test_oversample_rejected(self):
         with pytest.raises(DataFormatError):
-            farthest_point_sample(make_cloud(0, 4), 5)
+            farthest_point_sample([make_cloud(0, 4)], 5, [0])
+
+    @pytest.mark.parametrize(
+        "clouds, seeds",
+        [
+            ([make_cloud(0, 9), make_cloud(1, 4)], [0, 1]),  # m above the smallest cloud
+            ([make_cloud(0, 9), make_cloud(1, 9)], [0]),  # one seed too few
+            ([make_cloud(0, 9), np.vstack([make_cloud(1, 8), [0.0, np.inf, 0.0]])], [0, 1]),
+        ],
+        ids=["m-above-smallest", "seed-count", "non-finite"],
+    )
+    def test_bad_batch_rejected(self, clouds, seeds):
+        with pytest.raises(DataFormatError):
+            farthest_point_sample(clouds, 5, seeds)
 
 
 class TestRotateJitter:

@@ -283,6 +283,7 @@ class TestSpecValidation:
             dict(kind="mixed", layer=6),
             dict(kind="mixed", k=0),
             dict(kind="mixed", k_pts=0),
+            dict(kind="voxel", relocate_sigma=float("inf")),
         ],
     )
     def test_invalid_spec_rejected(self, kw):

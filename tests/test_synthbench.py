@@ -5,7 +5,9 @@ import pytest
 
 from pcda.errors import DataFormatError
 from pcda.synthbench import (
+    OVERSAMPLE,
     PRIMITIVES,
+    SPLIT_CODES,
     BenchConfig,
     _apportion,
     corrupt_to_target,
@@ -17,6 +19,8 @@ from pcda.synthbench import (
     sample_cylinder,
     sample_torus,
 )
+
+from conftest import greedy_fps
 
 
 class TestApportion:
@@ -135,7 +139,8 @@ class TestCorruptToTarget:
         cfg = BenchConfig()
         pts = make_primitive("cylinder", rng, 512)
         out, labels = corrupt_to_target(pts, cfg, rng)
-        assert out.shape == (cfg.n_points, 3)
+        assert out.ndim == 2 and out.shape[1] == 3
+        assert cfg.n_points <= len(out) <= len(pts)
         assert labels is None
         assert np.abs(out).max() <= 0.5 + 1e-12
 
@@ -143,8 +148,8 @@ class TestCorruptToTarget:
         cfg = BenchConfig(segmentation=True)
         pts, labels = make_lamp(rng, 512)
         out, out_labels = corrupt_to_target(pts, cfg, rng, point_labels=labels)
-        assert out.shape == (cfg.n_points, 3)
-        assert out_labels.shape == (cfg.n_points,)
+        assert len(out) >= cfg.n_points
+        assert out_labels.shape == (len(out),)
         assert set(np.unique(out_labels)) <= {0, 1, 2, 3}
 
     def test_no_corruption_keeps_identity_shape(self, rng):
@@ -153,8 +158,9 @@ class TestCorruptToTarget:
         )
         pts = make_primitive("torus", rng, 300)
         out, _ = corrupt_to_target(pts, cfg, rng)
-        # with all corruption off, only renormalize + subsample: every output
-        # point is an input point
+        # with all corruption off, only renormalize: every output point is an
+        # input point
+        assert len(out) == len(pts)
         as_set = {tuple(p) for p in np.round(pts, 12)}
         assert all(tuple(p) in as_set for p in np.round(out, 12))
 
@@ -164,13 +170,13 @@ class TestCorruptToTarget:
             corrupt_to_target(np.zeros((10, 3)), cfg, rng)
 
     def test_density_bias_thins_one_side(self):
-        # thinning keeps more points toward one end of a random direction;
-        # check that some corruption actually happened
+        # thinning keeps keep_fraction of the points, more of them toward one
+        # end of a random direction
         cfg = BenchConfig(occlusion_fraction=0.0, target_jitter=0.0, keep_fraction=0.5)
         rng = np.random.default_rng(0)
         pts = make_primitive("box", rng, 1024)
         out, _ = corrupt_to_target(pts, cfg, rng)
-        assert len(out) == cfg.n_points
+        assert len(out) == round(0.5 * 1024)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +261,37 @@ class TestGenBenchmark:
         for ds in splits.values():
             for s in ds.samples:
                 assert np.abs(s.points).max() <= 0.5
+
+
+class TestAgainstReference:
+    """gen_benchmark's bytes against each sample rebuilt on its own."""
+
+    @pytest.mark.parametrize("segmentation", [False, True])
+    def test_every_sample_matches_its_own_rebuild(self, segmentation):
+        cfg = BenchConfig(
+            n_points=32, source_train=5, source_test=3, target_train=6, target_test=4,
+            seed=2, segmentation=segmentation,
+        )
+        splits, _ = gen_benchmark(cfg)
+        m = int(np.ceil(OVERSAMPLE * cfg.n_points))
+        for split, code in SPLIT_CODES.items():
+            samples = splits[split].samples
+            assert len(samples) == getattr(cfg, split)
+            for i, sample in enumerate(samples):
+                rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, code, i]))
+                if segmentation:
+                    pts, labels = make_lamp(rng, m)
+                else:
+                    labels = None
+                    pts = make_primitive(PRIMITIVES[i % cfg.num_classes], rng, m)
+                if split.startswith("target"):
+                    pts, labels = corrupt_to_target(pts, cfg, rng, point_labels=labels)
+                sel = greedy_fps(pts, rng.integers(len(pts)), cfg.n_points)
+                assert sample.points.tobytes() == pts[sel].tobytes()
+                if segmentation:
+                    assert sample.labels.tobytes() == labels[sel].astype(np.int64).tobytes()
+                else:
+                    assert sample.label == i % cfg.num_classes
 
 
 class TestBenchConfigValidation:

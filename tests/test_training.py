@@ -516,6 +516,13 @@ class TestTrainConfigValidation:
             dict(mixup_beta=float("nan")),
             dict(jitter_sigma=float("nan")),
             dict(jitter_clip=float("nan")),
+            dict(lr=float("inf")),
+            dict(weight_decay=float("inf")),
+            dict(ssl_weight=float("inf")),
+            dict(mixup_alpha=float("inf")),
+            dict(mixup_beta=float("inf")),
+            dict(jitter_sigma=float("inf")),
+            dict(jitter_clip=float("inf")),
         ],
     )
     def test_invalid_rejected(self, kw):
