@@ -4,6 +4,11 @@ A point cloud is represented throughout the toolkit as a plain numpy array
 of shape (n, 3). Labeled variants are small dataclasses wrapping such an
 array. All randomized operations take an explicit seed or Generator and are
 deterministic given it.
+
+Importing this module loads numpy only. scipy.spatial, for the k-d tree, is
+imported when the first NeighborIndex is built: by plane-fit normals (the
+lambertian scheme of `pcda deform`, `pcda train` and `pcda gen-bench
+--scheme`) and by chamfer_distance (`pcda selftest`).
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataFormatError
 
@@ -176,6 +180,8 @@ class NeighborIndex:
     """
 
     def __init__(self, points: np.ndarray):
+        from scipy.spatial import cKDTree
+
         self.points = check_cloud(points)
         self._tree = cKDTree(self.points)
 

@@ -224,12 +224,15 @@ def save_archive(path, dataset: Dataset) -> None:
 
 
 class _Reader:
+    """Bounds-checked cursor over a file's bytes. `take` returns zero-copy
+    memoryview slices, so each tensor is copied once, by its consumer."""
+
     def __init__(self, path, data: bytes):
         self.path = path
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise DataFormatError(f"{self.path}: truncated at byte {self.pos}")
         out = self.data[self.pos : self.pos + n]
@@ -244,7 +247,7 @@ def load_archive(path) -> Dataset:
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(path, data)
-    if r.take(4) != ARCHIVE_MAGIC:
+    if bytes(r.take(4)) != ARCHIVE_MAGIC:
         raise DataFormatError(f"{path}: not a cloud archive (bad magic)")
     version, num_classes, count, flags = r.unpack("<HHIH")
     if version != FORMAT_VERSION:
@@ -311,14 +314,14 @@ def load_tensors(path):
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(path, data)
-    if r.take(4) != TENSOR_MAGIC:
+    if bytes(r.take(4)) != TENSOR_MAGIC:
         raise DataFormatError(f"{path}: not a tensor container (bad magic)")
     version, count = r.unpack("<HI")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported container version {version}")
     (meta_len,) = r.unpack("<I")
     try:
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
+        meta = json.loads(bytes(r.take(meta_len)).decode("utf-8"))
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad metadata block: {exc}") from None
     if not isinstance(meta, dict):
@@ -326,9 +329,9 @@ def load_tensors(path):
     tensors = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name_b = r.take(name_len)
+        name_b = bytes(r.take(name_len))
         (dtype_len,) = r.unpack("<H")
-        dtype_b = r.take(dtype_len)
+        dtype_b = bytes(r.take(dtype_len))
         try:
             name = name_b.decode("utf-8")
             dtype = np.dtype(dtype_b.decode("ascii"))

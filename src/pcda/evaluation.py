@@ -5,14 +5,17 @@ Gaussian fit diagnostic: class-conditional Gaussians are fitted on labelled
 source features and target features are scored by their negative average
 log-likelihood under the mixture of their predicted or true class. Lower
 scores mean target features land where source classes live.
+
+scipy.linalg, for the Cholesky solves, is imported by the first Gaussian
+log-density (`pcda perplexity`); ClassGaussians factors each class's
+covariance once, however many times it is scored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DataFormatError, NumericalError
 
@@ -61,6 +64,14 @@ class ClassGaussians:
     means: np.ndarray        # (C, d)
     covariances: np.ndarray  # (C, d, d), with GAUSS_REG added on the diagonal
     counts: np.ndarray       # (C,) samples per class
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def cholesky(self, c: int):
+        """Class c's covariance Cholesky factor, computed on first use and
+        kept: later changes to `covariances` are not seen."""
+        if c not in self._factors:
+            self._factors[c] = _cholesky(self.covariances[c])
+        return self._factors[c]
 
 
 def fit_class_gaussians(
@@ -93,21 +104,32 @@ def fit_class_gaussians(
     return ClassGaussians(means=means, covariances=covs, counts=counts)
 
 
-def gaussian_log_density(x, mean, cov) -> np.ndarray:
-    """Log N(x; mean, cov) per row, via Cholesky factorization."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    d = mean.shape[0]
+def _cholesky(cov):
+    """Lower Cholesky factor of a covariance, as scipy's (c, lower) pair."""
+    from scipy.linalg import cho_factor
+
     try:
-        factor = cho_factor(cov, lower=True, check_finite=False)
+        return cho_factor(np.asarray(cov, dtype=np.float64), lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance is not positive definite: {exc}") from exc
+
+
+def _log_density(x, mean, factor) -> np.ndarray:
+    from scipy.linalg import cho_solve
+
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    mean = np.asarray(mean, dtype=np.float64)
+    d = mean.shape[0]
     logdet = 2.0 * np.log(np.diag(factor[0])).sum()
     centered = x - mean
     solved = cho_solve(factor, centered.T, check_finite=False).T
     maha = np.einsum("ij,ij->i", centered, solved)
     return -0.5 * (d * LOG_2PI + logdet + maha)
+
+
+def gaussian_log_density(x, mean, cov) -> np.ndarray:
+    """Log N(x; mean, cov) per row, via Cholesky factorization."""
+    return _log_density(x, mean, _cholesky(cov))
 
 
 def log_perplexity(
@@ -134,7 +156,7 @@ def log_perplexity(
         sel = y == c
         if not sel.any():
             continue
-        logp = gaussian_log_density(x[sel], model.means[c], model.covariances[c])
+        logp = _log_density(x[sel], model.means[c], model.cholesky(c))
         per_class_sum[c] = logp.sum()
         per_class_n[c] = sel.sum()
     if balanced:

@@ -27,12 +27,15 @@ per-point heads run on a set of rows. forward_pass gives them every point,
 so eval and seg stay dense. The training reconstruction loss reads only the
 deformed region, so it runs the rec head on the region rows alone, and
 layers 4-1 on the region and argmax rows.
+
+scipy.sparse, for layer 5's sparse backward, is imported by the first
+backward pass (`pcda train`), so inference (`pcda eval`, `pcda perplexity`)
+never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .cloud import as_rng
 from .chamfer import check_region, chamfer_loss_region
@@ -315,6 +318,8 @@ def _encoder_backward(params, trace, dg, grads, rows, da4):
     Layers 4-1 run on the union of the argmax rows and `rows`; every other
     row's gradient is zero down to layer 1.
     """
+    from scipy.sparse import csr_matrix
+
     B, n = trace["B"], trace["n"]
     live = trace["global"] > 0
     dg *= live

@@ -185,6 +185,8 @@ def uniform_split(n: int, val_fraction: float, seed):
 
 
 def _eval_batches(params, points, batch_size, heads, key):
+    if batch_size < 1:
+        raise DataFormatError(f"batch size must be positive, got {batch_size}")
     pts = np.asarray(points, dtype=np.float64)
     return np.concatenate(
         [

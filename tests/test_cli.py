@@ -431,6 +431,17 @@ class TestTrainEvalPerplexity:
         assert list(tensors["labels"]) == [0, 1, 2, 0, 1, 2]
         assert meta["split"] == "target_test"
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["eval", "perplexity"])
+    def test_bad_batch_size_is_data_error(self, bench_dir, run_dir, capsys, command, size):
+        code, stdout, err = run_cli(
+            capsys, command, "--bench", str(bench_dir),
+            "--ckpt", str(run_dir / "best.ckpt"), "--batch-size", size,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == f"data error: batch size must be positive, got {size}\n"
+
     @pytest.mark.parametrize(
         "flags, says",
         [

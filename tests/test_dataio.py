@@ -210,6 +210,25 @@ class TestTensors:
         save_tensors(p2, b, {"m": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_tensors_are_writable_aligned_own_copies(self, tmp_path):
+        # odd name lengths and a 1-byte tensor put later tensors at offsets
+        # that are not multiples of their itemsize within the file
+        tensors = {
+            "a": np.arange(3, dtype=np.int8),
+            "bb": np.arange(6, dtype=np.float64).reshape(2, 3),
+            "ccc": np.arange(4, dtype=np.float32),
+            "dddd": np.zeros((0, 5), dtype=np.int64),
+        }
+        path = tmp_path / "t.tens"
+        save_tensors(path, tensors, {})
+        back, _ = load_tensors(path)
+        for name, arr in back.items():
+            assert arr.flags.writeable and arr.flags.aligned, name
+            assert arr.flags.c_contiguous and arr.flags.owndata, name
+            assert arr.shape == tensors[name].shape
+            assert np.array_equal(arr, tensors[name])
+        back["bb"][0, 0] = 7.0  # writable in place, not a view of the file
+
     def test_magic_and_truncation(self, tmp_path):
         path = tmp_path / "t.tens"
         save_tensors(path, {"x": np.ones(3)}, {})

@@ -1,5 +1,6 @@
-"""The README matches the code: its commands parse and its library map is
-complete. Commands are parsed, never run."""
+"""The README matches the code: its commands parse, its library map is
+complete and its dependency sentence names every scipy submodule the
+sources import. Commands are parsed, never run."""
 
 import os
 import re
@@ -39,3 +40,17 @@ def test_library_map_lists_every_module():
     package = os.path.join(ROOT, "src", "pcda")
     modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
     assert sorted(listed) == sorted(modules - {"__init__"})
+
+
+def test_dependency_sentence_names_every_scipy_import():
+    section = readme_section("Install and test")
+    sentence = section.split("Dependencies:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`(scipy\.\w+)`", sentence))
+    package = os.path.join(ROOT, "src", "pcda")
+    imported = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                imported |= set(re.findall(r"^\s*(?:from|import) (scipy\.\w+)", fh.read(), re.M))
+    assert imported
+    assert named == imported

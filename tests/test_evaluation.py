@@ -150,6 +150,33 @@ class TestLogPerplexity:
         far = log_perplexity(model, feats + 8.0, labels)
         assert far > near
 
+    def test_each_class_factored_once_and_values_unchanged(self, monkeypatch):
+        import scipy.linalg
+
+        feats, labels = make_features(9, n=90, d=5)
+        other, other_labels = make_features(10, n=40, d=5)
+        model = fit_class_gaussians(feats, labels, num_classes=3)
+        # the per-call path: factor the class covariance for every score
+        sums, counts = np.zeros(3), np.zeros(3, dtype=np.int64)
+        for c in range(3):
+            sel = other_labels == c
+            sums[c] = gaussian_log_density(other[sel], model.means[c], model.covariances[c]).sum()
+            counts[c] = sel.sum()
+        per_call = [float(-sums.sum() / counts.sum()), float(-np.mean(sums / counts))]
+
+        factored = []
+        real = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            factored.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        std = log_perplexity(model, other, other_labels)
+        bal = log_perplexity(model, other, other_labels, balanced=True)
+        assert len(factored) == 3
+        assert [std, bal] == per_call  # bitwise, not approximately
+
     def test_balanced_requires_all_classes(self):
         feats, labels = make_features(8)
         model = fit_class_gaussians(feats, labels, num_classes=3)
