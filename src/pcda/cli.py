@@ -19,6 +19,7 @@ from .dataio import (
     atomic_write_text,
     load_archive,
     load_cloud,
+    remove_partial_writes,
     save_archive,
     save_cloud,
     save_tensors,
@@ -176,6 +177,10 @@ def cmd_train(args) -> int:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()) + "\n")
+        # the lock makes this the only writer: a temporary file here is
+        # what a run killed during a write left behind
+        for tmp in remove_partial_writes(args.out):
+            print(f"removing partial write {tmp}", file=sys.stderr)
         result = train(source, target, cfg, args.out, resume=args.resume)
     finally:
         if os.path.exists(lock_path):

@@ -11,11 +11,13 @@ identical files. All writers go through a temp file plus atomic rename.
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +31,43 @@ FORMAT_VERSION = 1
 FLAG_POINT_LABELS = 1
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes then atomically rename into place."""
+TMP_PREFIX, TMP_SUFFIX = ".tmp-", ".part"  # the temporary file of an atomic write
+
+
+@contextmanager
+def atomic_writer(path):
+    """A binary file handle on a temporary file in `path`'s directory,
+    renamed onto `path` when the block ends; if the block raises, the
+    temporary file is removed and `path` is untouched. A process killed
+    inside the block leaves the temporary file behind (see
+    remove_partial_writes)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=TMP_PREFIX, suffix=TMP_SUFFIX)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def remove_partial_writes(directory) -> list:
+    """Delete the temporary files that killed atomic writes left in
+    `directory`; returns their paths. Only safe while no other process
+    writes there."""
+    pattern = os.path.join(glob.escape(str(directory)), f"{TMP_PREFIX}*{TMP_SUFFIX}")
+    leftovers = sorted(glob.glob(pattern))
+    for tmp in leftovers:
+        os.unlink(tmp)
+    return leftovers
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write bytes then atomically rename into place."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -279,38 +306,33 @@ def load_archive(path) -> Dataset:
 # -- tensor container ------------------------------------------------------
 
 
-def save_tensors(path, tensors: dict, meta: dict | None = None) -> bytes:
-    """Write named arrays plus a JSON metadata blob, byte-deterministically,
-    and return the bytes written.
+def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
+    """Write named arrays plus a JSON metadata blob, byte-deterministically.
 
     Tensors are stored sorted by name in C order with explicit dtypes, so
-    the file bytes are a pure function of the contents.
+    the file bytes are a pure function of the contents. Each tensor's
+    buffer is written to the file as it stands, without a copy in memory.
     """
     meta_blob = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode()
-    parts = [
-        TENSOR_MAGIC,
-        struct.pack("<HI", FORMAT_VERSION, len(tensors)),
-        struct.pack("<I", len(meta_blob)),
-        meta_blob,
-    ]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
-        name_b = name.encode("utf-8")
-        dtype_b = arr.dtype.str.encode("ascii")
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<H", len(dtype_b)))
-        parts.append(dtype_b)
-        parts.append(struct.pack("<H", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}q", *arr.shape))
-        parts.append(arr.tobytes())
-    data = b"".join(parts)
-    atomic_write_bytes(path, data)
-    return data
+    with atomic_writer(path) as fh:
+        fh.write(TENSOR_MAGIC + struct.pack("<HII", FORMAT_VERSION, len(tensors), len(meta_blob)))
+        fh.write(meta_blob)
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name])
+            name_b = name.encode("utf-8")
+            dtype_b = arr.dtype.str.encode("ascii")
+            fh.write(
+                struct.pack("<H", len(name_b)) + name_b
+                + struct.pack("<H", len(dtype_b)) + dtype_b
+                + struct.pack(f"<H{arr.ndim}q", arr.ndim, *arr.shape)
+            )
+            fh.write(arr.data)
 
 
-def load_tensors(path):
-    """Read a tensor container; returns (tensors dict, meta dict)."""
+def read_tensors(path):
+    """Read a tensor container; returns (tensors dict, meta dict) with each
+    tensor a read-only view into the file's bytes, which it keeps alive.
+    Every header, dtype, shape and length is checked; no tensor is copied."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(path, data)
@@ -345,9 +367,16 @@ def load_tensors(path):
             raise DataFormatError(f"{path}: tensor {name!r} has negative shape {shape}")
         arr = np.frombuffer(r.take(math.prod(shape) * dtype.itemsize), dtype=dtype)
         try:
-            tensors[name] = arr.reshape(shape).copy()
+            tensors[name] = arr.reshape(shape)
         except ValueError as exc:  # an empty tensor whose other dims overflow
             raise DataFormatError(f"{path}: tensor {name!r} shape {shape}: {exc}") from None
     if r.pos != len(data):
         raise DataFormatError(f"{path}: {len(data) - r.pos} trailing bytes")
     return tensors, meta
+
+
+def load_tensors(path):
+    """Read a tensor container; returns (tensors dict, meta dict), each
+    tensor a writable, aligned copy of its own."""
+    tensors, meta = read_tensors(path)
+    return {name: arr.copy() for name, arr in tensors.items()}, meta

@@ -15,6 +15,15 @@ Forward and backward passes are written out explicitly; gradients are pinned
 against central finite differences in the test suite. All arrays follow the
 parameter dtype (float64 by default, float32 supported for speed).
 
+A head caches only what its backward pass reads: each hidden layer's output
+after its ReLU and dropout. Dropout is applied in place, its keep mask drawn
+in chunks of DROPOUT_CHUNK float64 uniforms (u < 0.5, the draws of one
+Generator.uniform call), so neither the mask nor the activation before it
+is kept; the backward pass gates on the cached output being positive and
+doubles the gradient of a dropout layer. The seg head's two dropout layers
+thus keep two (B*n, 256) arrays, where an activation, a mask and their
+product per layer made six.
+
 Layer 5 is fused with the max-pool one cloud at a time: each cloud's block
 is one channel-major (1024, n) GEMM, a bias add and one argmax pass over
 each channel's row, and the ReLU runs on the (B, 1024) maxima alone. Its
@@ -48,9 +57,11 @@ GLOBAL_DIM = ENCODER_WIDTHS[-1]
 POINT_FEAT_DIM = ENCODER_WIDTHS[3]
 HEAD_IN_DIM = GLOBAL_DIM + POINT_FEAT_DIM
 DROPOUT_RATE = 0.5
+DROPOUT_LAYERS = 2  # train-mode dropout on the first two hidden layers of sup and seg
+DROPOUT_CHUNK = 1 << 16  # uniforms drawn per dropout chunk
 _HIDDEN = {"sup": SUP_HIDDEN, "rec": HEAD_HIDDEN, "seg": HEAD_HIDDEN}
 HEAD_OUTPUTS = {"sup": "logits", "rec": "recon", "seg": "seg_logits"}
-_DROPOUT_HEADS = ("sup", "seg")  # train-mode dropout on their first two hidden layers
+_DROPOUT_HEADS = ("sup", "seg")
 
 
 def _glorot(rng, fan_in, fan_out, dtype):
@@ -114,9 +125,27 @@ def _as_batch(clouds, dtype):
     return arr, False
 
 
-def _dropout_mask(rng, shape, dtype):
+def _dropout_in_place(rng, z):
+    """Inverted dropout on the C-contiguous `z`, in place.
+
+    The keep mask is drawn DROPOUT_CHUNK uniforms at a time into reused
+    buffers: each chunk of `z` is multiplied by its 0/1 mask, then all of
+    `z` by 1 / (1 - DROPOUT_RATE) = 2. The draws and the products are those
+    of `z * ((rng.uniform(size=z.shape) < 0.5) / 0.5)` bit for bit, and
+    the generator ends in the same state, without a (rows, width) float64
+    array of uniforms or a mask the size of `z`.
+    """
     keep = 1.0 - DROPOUT_RATE
-    return (rng.uniform(size=shape) < keep).astype(dtype) / dtype.type(keep)
+    flat = z.reshape(-1)
+    uniforms = np.empty(min(flat.size, DROPOUT_CHUNK))
+    kept = np.empty(len(uniforms), dtype=bool)
+    for lo in range(0, flat.size, DROPOUT_CHUNK):
+        part = flat[lo : lo + DROPOUT_CHUNK]
+        u, k = uniforms[: part.size], kept[: part.size]
+        rng.random(out=u)
+        np.less(u, keep, out=k)
+        part *= k
+    z *= 1.0 / keep
 
 
 def _encode(params, x, layers: int) -> list:
@@ -250,11 +279,19 @@ def _head_forward(params, head, g, a4, cloud, drop_rng):
     added to its rows instead of materializing the concatenation: by
     broadcast over the clouds' equal row blocks when `cloud` is None, else
     by gather.
+
+    The cache holds what the backward pass reads: `a4` and `cloud` for the
+    per-point heads, and each hidden layer's output `s_i`, after its ReLU
+    and, in train mode, after dropout. With `drop_rng`, hidden layers 1 and
+    2 take inverted dropout in place (_dropout_in_place), and the cache
+    records it under "dropped"; no pre-dropout activation or mask is kept,
+    because s_i > 0 exactly where the ReLU is live and the unit kept.
     """
     w1 = params[f"{head}1_w"]
-    cache = {}
+    cache = {} if drop_rng is None else {"dropped": DROPOUT_LAYERS}
     if head == "sup":
-        z = g @ w1 + params["sup1_b"]
+        z = g @ w1
+        z += params["sup1_b"]
     else:
         zg = g @ w1[:GLOBAL_DIM]  # (B, d1)
         z = a4 @ w1[GLOBAL_DIM:]
@@ -267,12 +304,11 @@ def _head_forward(params, head, g, a4, cloud, drop_rng):
         cache["a4"], cache["cloud"] = a4, cloud
     for i in range(1, len(_HIDDEN[head]) + 1):
         np.maximum(z, 0.0, out=z)
-        s, m = z, None
-        if drop_rng is not None and i <= 2:
-            m = _dropout_mask(drop_rng, z.shape, z.dtype)
-            s = z * m
-        cache[f"a{i}"], cache[f"s{i}"], cache[f"m{i}"] = z, s, m
-        z = s @ params[f"{head}{i + 1}_w"] + params[f"{head}{i + 1}_b"]
+        if i <= cache.get("dropped", 0):
+            _dropout_in_place(drop_rng, z)
+        cache[f"s{i}"] = z
+        z = z @ params[f"{head}{i + 1}_w"]
+        z += params[f"{head}{i + 1}_b"]
     if not np.isfinite(z).all():
         raise NumericalError(f"numerical overflow in {head} head")
     return z, cache
@@ -283,12 +319,15 @@ def _head_backward(params, head, cache, dout, g, grads):
     the global feature and (per-point heads only) at the head's layer-4 rows."""
     d = dout
     for i in range(len(_HIDDEN[head]), 0, -1):
-        grads[f"{head}{i + 1}_w"] += cache[f"s{i}"].T @ d
+        s = cache[f"s{i}"]
+        grads[f"{head}{i + 1}_w"] += s.T @ d
         grads[f"{head}{i + 1}_b"] += d.sum(axis=0)
         d = d @ params[f"{head}{i + 1}_w"].T
-        if cache[f"m{i}"] is not None:
-            d = d * cache[f"m{i}"]
-        d *= cache[f"a{i}"] > 0
+        # s > 0 is the ReLU gate times the keep mask; with the exact scale
+        # of 2 this equals (d * 2 * mask) * (relu > 0) bit for bit
+        d *= s > 0
+        if i <= cache.get("dropped", 0):
+            d *= 1.0 / (1.0 - DROPOUT_RATE)
     w1 = params[f"{head}1_w"]
     if head == "sup":
         grads["sup1_w"] += g.T @ d
@@ -482,5 +521,6 @@ def reconstruction_loss_and_grads(
     grads = zeros_like_params(params)
     dout = drecon.reshape(B * n, 3)[rows].astype(out.dtype)
     dg, da4 = _head_backward(params, "rec", cache, dout, trace["global"], grads)
+    del cache, out, recon  # the encoder backward reads none of them
     _encoder_backward(params, trace, dg, grads, rows, da4)
     return loss, grads

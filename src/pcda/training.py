@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .cloud import as_rng, jitter, rotate_z
-from .dataio import Dataset, atomic_write_bytes, load_tensors, save_tensors
+from .dataio import Dataset, read_tensors, save_tensors
 from .deform import FEATURE_KINDS, DeformSpec, apply_deformation
 from .errors import DataFormatError, NumericalError
 from .evaluation import mean_iou
@@ -243,11 +243,11 @@ def evaluate_segmentation(params: dict, dataset: Dataset, batch_size: int = 16) 
 # -- checkpoints -----------------------------------------------------------
 
 
-def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict) -> bytes:
-    """Write a checkpoint and return the bytes written."""
+def save_checkpoint(path, params, best_params, adam: AdamState, meta: dict) -> None:
+    """Write a checkpoint: the four tensor groups and the metadata."""
     groups = {"param": params, "best": best_params, "adam_m": adam.m, "adam_v": adam.v}
     tensors = {f"{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
-    return save_tensors(path, tensors, {**meta, "adam_t": adam.t})
+    save_tensors(path, tensors, {**meta, "adam_t": adam.t})
 
 
 def _check_architecture(path, params: dict, meta: dict):
@@ -272,15 +272,19 @@ def _check_architecture(path, params: dict, meta: dict):
             raise DataFormatError(f"{path}: metadata {key}={meta[key]!r}, parameters say {value!r}")
 
 
-def load_checkpoint(path):
-    tensors, meta = load_tensors(path)
-    params, best, m, v = {}, {}, {}, {}
-    groups = {"param": params, "best": best, "adam_m": m, "adam_v": v}
+def _read_checkpoint(path) -> tuple:
+    """({group: {name: read-only view}}, adam_t, meta) of a checkpoint whose
+    four groups agree in names, shapes and dtypes, whose parameters pass
+    _check_architecture and whose adam_t is a non-negative int. Only the
+    tensor headers are read; no tensor is copied."""
+    tensors, meta = read_tensors(path)
+    groups = {g: {} for g in ("param", "best", "adam_m", "adam_v")}
     for name, arr in tensors.items():
         group, _, key = name.partition("/")
         if group not in groups:
             raise DataFormatError(f"{path}: unexpected tensor group {group!r}")
         groups[group][key] = arr
+    params = groups["param"]
     if not params or any(
         g.keys() != params.keys()
         or any((g[k].shape, g[k].dtype) != (p.shape, p.dtype) for k, p in params.items())
@@ -291,6 +295,17 @@ def load_checkpoint(path):
     t = meta.get("adam_t")
     if type(t) is not int or t < 0:
         raise DataFormatError(f"{path}: adam_t must be a non-negative integer, got {t!r}")
+    return groups, t, meta
+
+
+def _copies(arrays: dict) -> dict:
+    return {k: v.copy() for k, v in arrays.items()}
+
+
+def load_checkpoint(path):
+    """(params, best params, AdamState, meta) of a checkpoint, as copies."""
+    groups, t, meta = _read_checkpoint(path)
+    params, best, m, v = map(_copies, groups.values())
     return params, best, AdamState(m=m, v=v, t=t), meta
 
 
@@ -314,9 +329,11 @@ def _resume_state(path, meta: dict) -> tuple:
 
 
 def load_params(path) -> tuple:
-    """Best-scoring parameters from a checkpoint, with its metadata."""
-    _, best, _, meta = load_checkpoint(path)
-    return best, meta
+    """Best-scoring parameters from a checkpoint, with its metadata. The
+    whole checkpoint is checked as load_checkpoint checks it, but only the
+    `best` group is copied out of the file's bytes."""
+    groups, _, meta = _read_checkpoint(path)
+    return _copies(groups["best"]), meta
 
 
 # -- the training loop -----------------------------------------------------
@@ -354,6 +371,7 @@ def _reconstruction_loss_and_grads(params, clouds, cfg, epoch, step, tag):
         )
         for j, cloud in enumerate(clouds)
     ]
+    del feats  # float64 (B, n, width): not to be held through the reconstruction
     return reconstruction_loss_and_grads(
         params,
         np.stack([p.deformed for p in pairs]),
@@ -621,11 +639,8 @@ def train(
         }
         # best.ckpt first: a run killed between the two files resumes from
         # the previous last.ckpt, re-runs this epoch and rewrites both
-        first = best_path if is_best else last_path
-        blob = save_checkpoint(first, params, best_params, adam, meta)
-        if is_best:
-            atomic_write_bytes(last_path, blob)
-        del blob  # a whole checkpoint; not to be held through the next epoch
+        for path in (best_path, last_path) if is_best else (last_path,):
+            save_checkpoint(path, params, best_params, adam, meta)
 
     return TrainResult(
         params=params,

@@ -561,6 +561,21 @@ class TestTrainEvalPerplexity:
         )
         assert code == 2 and "resume metadata" in err
 
+    def test_resume_removes_partial_writes(self, bench_dir, run_dir, tmp_path, capsys):
+        # a run killed while writing a checkpoint leaves its temporary file
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        leftover = run / ".tmp-k1ll3d.part"
+        leftover.write_bytes((run / "last.ckpt").read_bytes()[:1000])
+        before = {p.name: p.read_bytes() for p in run.iterdir() if p != leftover}
+        code, _, err = run_cli(
+            capsys, "train", "--bench", str(bench_dir), "--out", str(run), "--resume",
+            "--epochs", "1", "--batch-size", "4", "--dtype", "float32", "--kind", "sphere",
+        )
+        assert code == 0
+        assert err.splitlines() == [f"removing partial write {leftover}"]
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_resume_with_garbage_metrics_line_is_data_error(
         self, bench_dir, run_dir, tmp_path, capsys
     ):

@@ -229,6 +229,30 @@ class TestTensors:
             assert np.array_equal(arr, tensors[name])
         back["bb"][0, 0] = 7.0  # writable in place, not a view of the file
 
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # magic, <HI version and count, <I meta length, the compact sorted
+        # JSON meta, then per tensor sorted by name: <H name length, name,
+        # <H dtype length, dtype.str, <H rank, <q dims, the raw C-order bytes
+        tensors = {
+            "w": np.arange(12, dtype=np.float32).reshape(3, 4).T,  # not C-contiguous
+            "empty": np.zeros((0, 3), dtype=np.float64),
+            "b/é": np.array([-1, 2], dtype=">i8"),
+        }
+        meta = {"z": [1, 2], "a": "x"}
+        blob = [TENSOR_MAGIC, struct.pack("<HI", FORMAT_VERSION, 3)]
+        meta_b = b'{"a":"x","z":[1,2]}'
+        blob += [struct.pack("<I", len(meta_b)), meta_b]
+        for name, dtype, shape, data in (
+            (b"b/\xc3\xa9", b">i8", (2,), b"\xff" * 8 + b"\0" * 7 + b"\x02"),
+            (b"empty", b"<f8", (0, 3), b""),
+            (b"w", b"<f4", (4, 3), struct.pack("<12f", 0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11)),
+        ):
+            blob += [struct.pack("<H", len(name)), name, struct.pack("<H", len(dtype)), dtype]
+            blob += [struct.pack(f"<H{len(shape)}q", len(shape), *shape), data]
+        path = tmp_path / "t.tens"
+        save_tensors(path, tensors, meta)
+        assert path.read_bytes() == b"".join(blob)
+
     def test_magic_and_truncation(self, tmp_path):
         path = tmp_path / "t.tens"
         save_tensors(path, {"x": np.ones(3)}, {})
@@ -244,6 +268,23 @@ class TestAtomicity:
         atomic_write_bytes(tmp_path / "out.bin", b"payload")
         assert sorted(os.listdir(tmp_path)) == ["out.bin"]
         assert (tmp_path / "out.bin").read_bytes() == b"payload"
+
+    def test_failed_write_leaves_no_temporary_file_or_partial_target(self, tmp_path):
+        class Unreadable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("device went away")
+
+        # "a" is written to the temporary file before "b" fails
+        tensors = {"a": np.ones(1000), "b": Unreadable()}
+        with pytest.raises(OSError, match="went away"):
+            save_tensors(tmp_path / "new.tens", tensors, {})
+        assert os.listdir(tmp_path) == []
+        save_tensors(tmp_path / "old.tens", {"a": np.zeros(3)}, {})
+        before = (tmp_path / "old.tens").read_bytes()
+        with pytest.raises(OSError, match="went away"):
+            save_tensors(tmp_path / "old.tens", tensors, {})
+        assert os.listdir(tmp_path) == ["old.tens"]
+        assert (tmp_path / "old.tens").read_bytes() == before
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         path = tmp_path / "out.bin"

@@ -150,16 +150,36 @@ class TestForward:
         b, _ = forward_pass(params_cls, pts, heads=("sup",), dropout_seed=99)
         assert np.array_equal(a["logits"], b["logits"])
 
-    def test_train_dropout_masks_both_sup_hidden_layers(self, params_cls):
+    def test_train_dropout_masks_both_sup_hidden_layers(self):
+        # train-mode s_i = 2 * relu(pre_i) * (uniform(size) < 0.5) on hidden
+        # layers 1 and 2 of sup and seg, the masks drawn in order from the
+        # dropout generator, which ends in the same state; pre_1 is the
+        # eval-mode pre-activation and pre_i+1 = s_i W_i+1 + b_i+1. Each
+        # live unit is scaled by 0 or 2, about half of them by 0.
         clouds = np.stack([make_cloud(i, 16) for i in range(8)])
-        _, trace = forward_pass(
-            params_cls, clouds, mode="train", heads=("sup",), dropout_seed=3
-        )
-        for key in ("m1", "m2"):
-            mask = trace["sup"][key]
-            assert mask is not None
-            assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - DROPOUT_RATE)}
-            assert abs((mask == 0).mean() - DROPOUT_RATE) < 0.05
+        for head, hidden in (("sup", SUP_HIDDEN), ("seg", HEAD_HIDDEN)):
+            for dtype in (np.float32, np.float64):
+                task = "classification" if head == "sup" else "segmentation"
+                params = init_params(3, task=task, seed=0, dtype=dtype)
+                drawn, ref = np.random.default_rng(3), np.random.default_rng(3)
+                _, trace = forward_pass(
+                    params, clouds, mode="train", heads=(head,), dropout_seed=drawn
+                )
+                relu = forward_pass(params, clouds, heads=(head,))[1][head]["s1"]
+                for i in range(1, len(hidden) + 1):
+                    s = trace[head][f"s{i}"]
+                    assert s.dtype == dtype
+                    if i <= 2:
+                        mask = ref.uniform(size=s.shape) < 1.0 - DROPOUT_RATE
+                        np.testing.assert_array_equal(s, 2 * relu * mask)
+                        scale = s[relu > 0] / relu[relu > 0]
+                        assert set(np.unique(scale)) == {0.0, 1.0 / (1.0 - DROPOUT_RATE)}
+                        assert abs((scale == 0).mean() - DROPOUT_RATE) < 0.05
+                    else:  # the seg head's third hidden layer has no dropout
+                        np.testing.assert_array_equal(s, relu)
+                    w, b = params[f"{head}{i + 1}_w"], params[f"{head}{i + 1}_b"]
+                    relu = np.maximum(s @ w + b, 0)
+                assert drawn.random() == ref.random()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_point_features_match_forward_activations(self, dtype):
@@ -460,6 +480,26 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * rows * GLOBAL_DIM * 8, f"peak {peak} bytes for {rows} argmax rows"
+
+    def test_dense_seg_step_peak_memory(self):
+        # the seg head keeps one (B*n, 256) array per dropout layer, its
+        # output after dropout, and draws the masks in chunks: about 9.5
+        # units of B*n*256 float32; a cache of the ReLU output, the mask
+        # and their product per layer would peak at 13.5
+        B, n = 8, 256
+        params = init_params(4, "segmentation", seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        clouds = rng.uniform(-0.5, 0.5, size=(B, n, 3))
+        labels = rng.integers(0, 4, size=(B, n))
+        segmentation_loss_and_grads(params, clouds, labels, dropout_seed=1)  # warm-up
+        tracemalloc.start()
+        try:
+            segmentation_loss_and_grads(params, clouds, labels, dropout_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = peak / (B * n * 256 * 4)
+        assert units < 11.0, f"peak {units:.2f} units of B*n*256 float32"
 
     @pytest.mark.parametrize("heads", [("sup", "rec"), ("seg", "rec")])
     def test_trace_keeps_no_layer5_activations(self, heads):

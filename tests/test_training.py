@@ -482,6 +482,18 @@ class TestTrainLoop:
         res = train(src, tgt, cfg, str(tmp_path / "st"))
         assert res.metrics[0]["ssl_loss"] is not None
 
+    def test_best_epoch_writes_identical_checkpoints(self, tmp_path):
+        # epoch 0 always improves on no model, so it writes best.ckpt and
+        # then last.ckpt from the same state
+        cfg = tiny_config(dtype="float32", epochs=1)
+        res = train(tiny_cls_dataset(0), tiny_cls_dataset(1), cfg, str(tmp_path / "r"))
+        assert res.metrics[0]["best"] is True
+        blob = (tmp_path / "r" / "best.ckpt").read_bytes()
+        assert (tmp_path / "r" / "last.ckpt").read_bytes() == blob
+        assert sorted(os.listdir(tmp_path / "r")) == [
+            "best.ckpt", "config.json", "last.ckpt", "metrics.jsonl"
+        ]
+
     def test_float32_mode_runs_and_is_deterministic(self, tmp_path):
         src = tiny_cls_dataset(0)
         tgt = tiny_cls_dataset(1)
