@@ -318,7 +318,7 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
         fh.write(TENSOR_MAGIC + struct.pack("<HII", FORMAT_VERSION, len(tensors), len(meta_blob)))
         fh.write(meta_blob)
         for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
+            arr = np.asarray(tensors[name], order="C")  # a 0-d tensor stays 0-d
             name_b = name.encode("utf-8")
             dtype_b = arr.dtype.str.encode("ascii")
             fh.write(

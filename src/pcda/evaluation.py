@@ -6,14 +6,13 @@ source features and target features are scored by their negative average
 log-likelihood under the mixture of their predicted or true class. Lower
 scores mean target features land where source classes live.
 
-scipy.linalg, for the Cholesky solves, is imported by the first Gaussian
-log-density (`pcda perplexity`); ClassGaussians factors each class's
-covariance once, however many times it is scored.
+Each class Gaussian is held in the subspace its samples span: a thin SVD
+of the class's centered features gives at most n_c directions with their
+variances, and every other direction has the ridge variance `reg`. No d×d
+covariance or factor is built to fit or score, and no scipy is needed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,21 +56,55 @@ def mean_iou(pred_labels, true_labels, num_parts: int) -> float:
     return float(ious.mean())
 
 
-@dataclass
 class ClassGaussians:
-    """Per-class mean vectors and regularized ML covariance factors."""
+    """Per-class Gaussians, each held in the subspace of its samples.
 
-    means: np.ndarray        # (C, d)
-    covariances: np.ndarray  # (C, d, d), with GAUSS_REG added on the diagonal
-    counts: np.ndarray       # (C,) samples per class
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Class c keeps its mean, an orthonormal basis `bases[c]` (r_c × d) and
+    the variances `variances[c]` (r_c,) along it; every direction outside
+    the basis has variance `reg`. Its covariance is
+    bases[c]ᵀ·diag(variances[c] − reg)·bases[c] + reg·I, a d×d matrix that
+    no score builds. Given explicit `covariances` instead, each is
+    eigendecomposed here, so r_c = d.
+    """
 
-    def cholesky(self, c: int):
-        """Class c's covariance Cholesky factor, computed on first use and
-        kept: later changes to `covariances` are not seen."""
-        if c not in self._factors:
-            self._factors[c] = _cholesky(self.covariances[c])
-        return self._factors[c]
+    def __init__(self, *, means, counts, covariances=None, bases=None, variances=None,
+                 reg: float = 0.0):
+        self.means = np.asarray(means, dtype=np.float64)   # (C, d)
+        self.counts = np.asarray(counts, dtype=np.int64)   # (C,) samples per class
+        if covariances is not None:
+            bases, variances = zip(*(_eigen(cov) for cov in covariances))
+        self.bases, self.variances, self.reg = list(bases), list(variances), float(reg)
+        d = self.means.shape[1]
+        for c, e in enumerate(self.variances):
+            if not (np.all(e > 0) and (len(e) == d or self.reg > 0)):
+                raise NumericalError(f"class {c} covariance is not positive definite")
+
+    @property
+    def covariances(self) -> np.ndarray:
+        """The (C, d, d) covariances, rebuilt from the bases on each access."""
+        d = self.means.shape[1]
+        covs = np.empty((len(self.means), d, d))
+        for c, (basis, e) in enumerate(zip(self.bases, self.variances)):
+            covs[c] = (basis.T * (e - self.reg)) @ basis
+            covs[c][np.diag_indices(d)] += self.reg
+        return covs
+
+    def log_density(self, c: int, x) -> np.ndarray:
+        """Log density of each row of x under class c:
+        −½(d·log 2π + Σ log e + (d−r)·log reg + Σ (V x̃)²/e + ‖x̃ − VᵀV x̃‖²/reg)
+        with x̃ = x − mean, V = bases[c] (r × d) and e = variances[c]; the
+        terms in reg drop when r = d."""
+        basis, e = self.bases[c], self.variances[c]
+        centered = np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.means[c]
+        r, d = basis.shape
+        coords = centered @ basis.T
+        logdet = np.log(e).sum()
+        maha = np.einsum("ij,ij->i", coords / e, coords)
+        if r < d:
+            centered -= coords @ basis  # the residual outside the basis
+            logdet += (d - r) * np.log(self.reg)
+            maha += np.einsum("ij,ij->i", centered, centered) / self.reg
+        return -0.5 * (d * LOG_2PI + logdet + maha)
 
 
 def fit_class_gaussians(
@@ -79,7 +112,11 @@ def fit_class_gaussians(
 ) -> ClassGaussians:
     """Maximum-likelihood Gaussian per class (covariance divided by n, not
     n-1) with `reg` added to the covariance diagonal. Every class must have
-    at least one sample."""
+    at least one sample.
+
+    Each class is one thin SVD of its centered features: its r = min(n, d)
+    right singular vectors are the basis, s²/n + reg the variances along
+    them. With fewer samples than dimensions, `reg` must be positive."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
@@ -88,48 +125,38 @@ def fit_class_gaussians(
         raise DataFormatError("num_classes must be positive")
     if y.min(initial=0) < 0 or y.max(initial=-1) >= num_classes:
         raise DataFormatError("labels out of range")
-    d = x.shape[1]
-    means = np.zeros((num_classes, d))
-    covs = np.zeros((num_classes, d, d))
+    means = np.zeros((num_classes, x.shape[1]))
     counts = np.zeros(num_classes, dtype=np.int64)
+    bases, variances = [], []
     for c in range(num_classes):
         xc = x[y == c]
         counts[c] = len(xc)
         if counts[c] == 0:
             raise DataFormatError(f"class {c} has no samples to fit")
         means[c] = xc.mean(axis=0)
-        centered = xc - means[c]
-        covs[c] = centered.T @ centered / counts[c]
-        covs[c][np.diag_indices(d)] += reg
-    return ClassGaussians(means=means, covariances=covs, counts=counts)
+        try:
+            _, s, basis = np.linalg.svd(xc - means[c], full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"class {c} features: {exc}") from exc
+        bases.append(basis)
+        variances.append(s * s / counts[c] + reg)
+    return ClassGaussians(means=means, counts=counts, bases=bases, variances=variances, reg=reg)
 
 
-def _cholesky(cov):
-    """Lower Cholesky factor of a covariance, as scipy's (c, lower) pair."""
-    from scipy.linalg import cho_factor
-
+def _eigen(cov):
+    """(basis, variances) of an explicit covariance: its d eigenvectors as
+    rows and its eigenvalues."""
     try:
-        return cho_factor(np.asarray(cov, dtype=np.float64), lower=True, check_finite=False)
+        e, vecs = np.linalg.eigh(np.asarray(cov, dtype=np.float64))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance is not positive definite: {exc}") from exc
-
-
-def _log_density(x, mean, factor) -> np.ndarray:
-    from scipy.linalg import cho_solve
-
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mean = np.asarray(mean, dtype=np.float64)
-    d = mean.shape[0]
-    logdet = 2.0 * np.log(np.diag(factor[0])).sum()
-    centered = x - mean
-    solved = cho_solve(factor, centered.T, check_finite=False).T
-    maha = np.einsum("ij,ij->i", centered, solved)
-    return -0.5 * (d * LOG_2PI + logdet + maha)
+    return vecs.T, e
 
 
 def gaussian_log_density(x, mean, cov) -> np.ndarray:
-    """Log N(x; mean, cov) per row, via Cholesky factorization."""
-    return _log_density(x, mean, _cholesky(cov))
+    """Log N(x; mean, cov) per row, by the formula of ClassGaussians with
+    cov eigendecomposed."""
+    return ClassGaussians(means=[mean], counts=[0], covariances=[cov]).log_density(0, x)
 
 
 def log_perplexity(
@@ -156,7 +183,7 @@ def log_perplexity(
         sel = y == c
         if not sel.any():
             continue
-        logp = _log_density(x[sel], model.means[c], model.cholesky(c))
+        logp = model.log_density(c, x[sel])
         per_class_sum[c] = logp.sum()
         per_class_n[c] = sel.sum()
     if balanced:

@@ -20,7 +20,6 @@ from .errors import NumericalError
 from .evaluation import (
     ClassGaussians,
     fit_class_gaussians,
-    gaussian_log_density,
     log_perplexity,
     project_features,
 )
@@ -59,15 +58,18 @@ def brute_force_gaussian_logpdf(x, mean, cov) -> np.ndarray:
 
 
 def brute_force_log_perplexity(model: ClassGaussians, features, labels, balanced=False):
+    """log_perplexity from the model's full d×d covariances, rebuilt from its
+    subspace bases, each scored by explicit inverse and determinant."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
+    covs = model.covariances
     per_class = []
     total, count = 0.0, 0
     for c in range(len(model.means)):
         sel = y == c
         if not sel.any():
             continue
-        lp = brute_force_gaussian_logpdf(x[sel], model.means[c], model.covariances[c])
+        lp = brute_force_gaussian_logpdf(x[sel], model.means[c], covs[c])
         per_class.append(lp.mean())
         total += lp.sum()
         count += sel.sum()

@@ -202,6 +202,19 @@ class TestTensors:
             assert back_tensors[k].dtype == np.asarray(tensors[k]).dtype
             assert np.array_equal(back_tensors[k], tensors[k])
 
+    def test_zero_d_tensors_round_trip_as_zero_d(self, tmp_path):
+        tensors = {"s": np.float64(2.5), "i": np.array(-7, dtype=np.int64)}
+        path = tmp_path / "t.tens"
+        save_tensors(path, tensors, {})
+        back, _ = load_tensors(path)
+        for name, want in tensors.items():
+            assert back[name].shape == () and back[name].dtype == np.asarray(want).dtype
+            assert back[name] == want
+        # rank 0: the <H rank field is 0, no <q dims follow, then one value
+        tail = struct.pack("<H", 1) + b"s" + struct.pack("<H", 3) + b"<f8"
+        tail += struct.pack("<H", 0) + struct.pack("<d", 2.5)
+        assert path.read_bytes().endswith(tail)
+
     def test_bitwise_stable_regardless_of_insert_order(self, tmp_path):
         a = {"x": np.ones(3), "y": np.zeros(2)}
         b = {"y": np.zeros(2), "x": np.ones(3)}

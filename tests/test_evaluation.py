@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pcda.errors import DataFormatError, NumericalError
 from pcda.evaluation import (
     GAUSS_REG,
+    ClassGaussians,
     accuracy,
     fit_class_gaussians,
     gaussian_log_density,
@@ -115,8 +116,7 @@ class TestLogPerplexity:
         # identity covariance: score reduces to log(2*pi) for d=2
         feats = np.array([[0.0, 0.0], [5.0, 5.0]])
         labels = np.array([0, 1])
-        model = fit_class_gaussians(feats, labels, num_classes=2, reg=0.0)
-        model.covariances[:] = np.eye(2)
+        model = ClassGaussians(means=feats, covariances=[np.eye(2), np.eye(2)], counts=[1, 1])
         score = log_perplexity(model, feats, labels)
         assert score == pytest.approx(np.log(2 * np.pi), abs=1e-9)
 
@@ -150,32 +150,27 @@ class TestLogPerplexity:
         far = log_perplexity(model, feats + 8.0, labels)
         assert far > near
 
-    def test_each_class_factored_once_and_values_unchanged(self, monkeypatch):
-        import scipy.linalg
-
+    def test_each_class_decomposed_once_at_fit_and_none_per_score(self, monkeypatch):
         feats, labels = make_features(9, n=90, d=5)
         other, other_labels = make_features(10, n=40, d=5)
+        calls = []
+        for name in ("svd", "eigh"):
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
         model = fit_class_gaussians(feats, labels, num_classes=3)
-        # the per-call path: factor the class covariance for every score
-        sums, counts = np.zeros(3), np.zeros(3, dtype=np.int64)
-        for c in range(3):
-            sel = other_labels == c
-            sums[c] = gaussian_log_density(other[sel], model.means[c], model.covariances[c]).sum()
-            counts[c] = sel.sum()
-        per_call = [float(-sums.sum() / counts.sum()), float(-np.mean(sums / counts))]
-
-        factored = []
-        real = scipy.linalg.cho_factor
-
-        def counting(*args, **kwargs):
-            factored.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
-        std = log_perplexity(model, other, other_labels)
-        bal = log_perplexity(model, other, other_labels, balanced=True)
-        assert len(factored) == 3
-        assert [std, bal] == per_call  # bitwise, not approximately
+        assert calls == ["svd"] * 3
+        scores = [log_perplexity(model, other, other_labels, balanced=b) for b in (False, True)]
+        again = [log_perplexity(model, other, other_labels, balanced=b) for b in (False, True)]
+        assert calls == ["svd"] * 3
+        assert scores == again  # bitwise, not approximately
+        monkeypatch.undo()
+        for b, score in zip((False, True), scores):
+            assert abs(score - brute_force_log_perplexity(model, other, other_labels, b)) <= 1e-9
 
     def test_balanced_requires_all_classes(self):
         feats, labels = make_features(8)
@@ -183,6 +178,70 @@ class TestLogPerplexity:
         keep = labels != 2
         with pytest.raises(DataFormatError):
             log_perplexity(model, feats[keep], labels[keep], balanced=True)
+
+
+def explicit_log_perplexity(train, train_labels, feats, labels, num_classes, reg, balanced):
+    """The score from each class's sample covariance plus reg * I, by explicit
+    inverse and slogdet, built without the model under test."""
+    sums, counts = [], []
+    for c in range(num_classes):
+        xc = train[train_labels == c]
+        mean = xc.mean(axis=0)
+        cov = (xc - mean).T @ (xc - mean) / len(xc) + reg * np.eye(train.shape[1])
+        sign, logdet = np.linalg.slogdet(cov)
+        assert sign > 0
+        diff = feats[labels == c] - mean
+        maha = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(cov), diff)
+        logp = -0.5 * (train.shape[1] * np.log(2 * np.pi) + logdet + maha)
+        sums.append(logp.sum())
+        counts.append(len(diff))
+    if balanced:
+        return float(-np.mean(np.divide(sums, counts)))
+    return float(-np.sum(sums) / np.sum(counts))
+
+
+class TestSubspaceFit:
+    """Class Gaussians held in their sample subspace score like the full
+    regularized covariance."""
+
+    @pytest.mark.parametrize("n, d, reg", [(30, 64, 1e-3), (300, 6, 1e-6), (120, 4, 0.0)])
+    def test_matches_explicit_covariance_oracle(self, n, d, reg):
+        train, train_labels = make_features(11, n=n, d=d)
+        feats, labels = make_features(12, n=45, d=d)
+        model = fit_class_gaussians(train, train_labels, num_classes=3, reg=reg)
+        for c in range(3):
+            assert model.bases[c].shape == (min((train_labels == c).sum(), d), d)
+        for balanced in (False, True):
+            got = log_perplexity(model, feats, labels, balanced=balanced)
+            want = explicit_log_perplexity(train, train_labels, feats, labels, 3, reg, balanced)
+            assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_fewer_samples_than_dims_needs_a_ridge(self):
+        train, train_labels = make_features(13, n=30, d=64)
+        with pytest.raises(NumericalError):
+            model = fit_class_gaussians(train, train_labels, num_classes=3, reg=0.0)
+            log_perplexity(model, train, train_labels)
+
+    def test_explicit_identity_scores_exactly_log_2pi(self):
+        model = ClassGaussians(means=np.zeros((1, 2)), covariances=np.eye(2)[None], counts=[1])
+        assert log_perplexity(model, np.zeros((1, 2)), [0]) == np.log(2 * np.pi)
+
+    def test_fit_and_score_hold_no_d_by_d_array(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(14)
+        labels = np.repeat(np.arange(3), 67)
+        train = rng.normal(size=(201, 1024)) + labels[:, None]
+        feats = rng.normal(size=(201, 1024)) + labels[:, None]
+        tracemalloc.start()
+        try:
+            model = fit_class_gaussians(train, labels, num_classes=3)
+            log_perplexity(model, feats, labels)
+            log_perplexity(model, feats, labels, balanced=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8  # one (1024, 1024) float64 array
 
 
 class TestProjectFeatures:

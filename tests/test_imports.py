@@ -53,11 +53,20 @@ def test_gen_bench_then_eval_loads_no_scipy(tmp_path):
     assert scipy_loaded(code, tmp_path) == set()
 
 
-def test_perplexity_loads_scipy_linalg_only(tmp_path):
+def test_perplexity_loads_no_scipy(tmp_path):
     code = PREPARE + f"assert cli.main(['perplexity', {SCORE}]) == 0\n"
+    assert scipy_loaded(code, tmp_path) == set()
+
+
+def test_selftest_loads_only_what_scipy_sparse_and_spatial_bring(tmp_path):
+    code = (
+        "import contextlib, io\nfrom pcda import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['selftest']) == 0\n"
+    )
     loaded = scipy_loaded(code, tmp_path)
-    assert "scipy.linalg" in loaded
-    assert not {"scipy.sparse", "scipy.spatial"} & loaded
+    assert {"scipy.sparse", "scipy.spatial"} <= loaded
+    assert loaded == scipy_loaded("import scipy.sparse, scipy.spatial", tmp_path)
 
 
 @pytest.mark.parametrize("kind, spatial", [("voxel", False), ("lambertian", True)])
