@@ -6,7 +6,9 @@ binary archive (magic ``DFRC``) holding class counts, one optional class
 label and optional per-point labels per sample. Checkpoints and feature
 dumps use a tensor container (magic ``TENS``) whose bytes depend only on
 the stored values, never on timestamps, so identical states produce
-identical files. All writers go through a temp file plus atomic rename.
+identical files. All writers go through a temp file plus atomic rename,
+so a reader may map a tensor container: a file is replaced, never changed
+in place.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import glob
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -251,10 +254,11 @@ def save_archive(path, dataset: Dataset) -> None:
 
 
 class _Reader:
-    """Bounds-checked cursor over a file's bytes. `take` returns zero-copy
-    memoryview slices, so each tensor is copied once, by its consumer."""
+    """Bounds-checked cursor over a file's bytes or its mapping. `take`
+    returns zero-copy memoryview slices, so each tensor is copied once, by
+    its consumer."""
 
-    def __init__(self, path, data: bytes):
+    def __init__(self, path, data):
         self.path = path
         self.data = memoryview(data)
         self.pos = 0
@@ -329,12 +333,31 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
             fh.write(arr.data)
 
 
-def read_tensors(path):
-    """Read a tensor container; returns (tensors dict, meta dict) with each
-    tensor a read-only view into the file's bytes, which it keeps alive.
-    Every header, dtype, shape and length is checked; no tensor is copied."""
+def _map(path):
+    """The file's bytes, mapped read-only: a page is read when it is first
+    touched. The mapping outlives the file handle, and an atomic replace of
+    `path` leaves the mapped file intact. An empty file, which cannot be
+    mapped, and a file that cannot be mapped (a pipe) are read instead."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return fh.read()
+
+
+def read_tensors(path, copy=lambda name: False):
+    """Read a tensor container; returns (tensors dict, meta dict). A tensor
+    whose name passes `copy` is a writable, aligned copy of its own; every
+    other tensor is a read-only view into the file's mapping, which it
+    keeps alive. Every header, dtype, shape and length is checked, and
+    names must be unique and in the sorted order save_tensors writes.
+
+    Only the headers and the copied tensors are read. The pages a read
+    maps count as the process's resident memory, so they are dropped from
+    it again after each copy (MADV_DONTNEED; a view that is read later
+    maps them anew): a copy costs its own size, not also the file's."""
+    data = _map(path)
+    drop_pages = getattr(data, "madvise", None)  # None for the bytes of an unmapped file
     r = _Reader(path, data)
     if bytes(r.take(4)) != TENSOR_MAGIC:
         raise DataFormatError(f"{path}: not a tensor container (bad magic)")
@@ -349,7 +372,9 @@ def read_tensors(path):
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: metadata block is not a JSON object")
     tensors = {}
+    name = None
     for _ in range(count):
+        before = name
         (name_len,) = r.unpack("<H")
         name_b = bytes(r.take(name_len))
         (dtype_len,) = r.unpack("<H")
@@ -359,6 +384,10 @@ def read_tensors(path):
             dtype = np.dtype(dtype_b.decode("ascii"))
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: bad tensor header before byte {r.pos}: {exc}") from None
+        if before is not None and name <= before:
+            raise DataFormatError(
+                f"{path}: tensor {name!r} follows {before!r}: names must be unique and sorted"
+            )
         if dtype.kind not in "biufc":
             raise DataFormatError(f"{path}: tensor {name!r} has unsupported dtype {dtype.str!r}")
         (ndim,) = r.unpack("<H")
@@ -367,16 +396,20 @@ def read_tensors(path):
             raise DataFormatError(f"{path}: tensor {name!r} has negative shape {shape}")
         arr = np.frombuffer(r.take(math.prod(shape) * dtype.itemsize), dtype=dtype)
         try:
-            tensors[name] = arr.reshape(shape)
+            arr = arr.reshape(shape)
         except ValueError as exc:  # an empty tensor whose other dims overflow
             raise DataFormatError(f"{path}: tensor {name!r} shape {shape}: {exc}") from None
-    if r.pos != len(data):
-        raise DataFormatError(f"{path}: {len(data) - r.pos} trailing bytes")
+        if copy(name):
+            arr = arr.copy()
+            if drop_pages:
+                drop_pages(mmap.MADV_DONTNEED)
+        tensors[name] = arr
+    if r.pos != len(r.data):
+        raise DataFormatError(f"{path}: {len(r.data) - r.pos} trailing bytes")
     return tensors, meta
 
 
 def load_tensors(path):
     """Read a tensor container; returns (tensors dict, meta dict), each
     tensor a writable, aligned copy of its own."""
-    tensors, meta = read_tensors(path)
-    return {name: arr.copy() for name, arr in tensors.items()}, meta
+    return read_tensors(path, copy=lambda name: True)

@@ -24,18 +24,25 @@ doubles the gradient of a dropout layer. The seg head's two dropout layers
 thus keep two (B*n, 256) arrays, where an activation, a mask and their
 product per layer made six.
 
-Layer 5 is fused with the max-pool one cloud at a time: each cloud's block
+The encoder is one loop over the clouds of a batch: each cloud's rows run
+through layers 1-4, then layer 5 fused with the max-pool, where the block
 is one channel-major (1024, n) GEMM, a bias add and one argmax pass over
-each channel's row, and the ReLU runs on the (B, 1024) maxima alone. Its
-per-point activations are not kept: the trace holds layers 1-4, the global
+each channel's row, and the ReLU runs on the (B, 1024) maxima alone.
+Layer 5's per-point activations are never kept. forward_pass writes each
+cloud's rows of layers 1-4 into the trace arrays, next to the global
 feature and the argmax row of each channel. Only those rows get a gradient
 through the pool, one channel per live (cloud, channel) pair, so layer 5's
 backward is a sparse product over those pairs, and layers 4-1 run on the
 argmax rows plus the rows a per-point head sends a gradient to. The
 per-point heads run on a set of rows. forward_pass gives them every point,
-so eval and seg stay dense. The training reconstruction loss reads only the
+so seg stays dense. The training reconstruction loss reads only the
 deformed region, so it runs the rec head on the region rows alone, and
 layers 4-1 on the region and argmax rows.
+
+Inference (infer: evaluation, `pcda eval`, `pcda perplexity`) runs the
+same loop and heads with no trace: it keeps the global feature and, for a
+per-point head, the batch's layer-4 rows, and its outputs are those of an
+eval-mode forward_pass bit for bit.
 
 scipy.sparse, for layer 5's sparse backward, is imported by the first
 backward pass (`pcda train`), so inference (`pcda eval`, `pcda perplexity`)
@@ -148,53 +155,73 @@ def _dropout_in_place(rng, z):
     z *= 1.0 / keep
 
 
+def _layer(params, i, x, out=None):
+    """Encoder layer `i` (1-5) on (rows, d) activations `x`: relu(x @ W + b),
+    into `out` if given."""
+    out = np.matmul(x, params[f"enc{i}_w"], out=out)
+    out += params[f"enc{i}_b"]
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def _encode(params, x, layers: int) -> list:
     """Per-point activations of the first `layers` encoder layers for (rows, 3) points."""
     acts = []
     for i in range(1, layers + 1):
-        x = x @ params[f"enc{i}_w"]
-        x += params[f"enc{i}_b"]
-        np.maximum(x, 0.0, out=x)
+        x = _layer(params, i, x)
         acts.append(x)
     return acts
 
 
-def _layer5_max_pool(params, a4):
-    """Layer 5 fused with the max-pool, one cloud at a time: for (B, n, 256)
-    layer-4 activations, the (B, 1024) global feature and the (B, 1024) row
-    of each channel's maximum, the first (lowest) one on ties as
-    np.argmax(axis=0) gives.
+def _encode_pool(params, batch, keep=()):
+    """The encoder, one cloud at a time, for (B, n, 3) clouds: the (B, 1024)
+    global feature, the (B, 1024) row of each channel's maximum (the first,
+    lowest, one on ties, as np.argmax(axis=0) gives), and {i: (B*n, width)}
+    activations of each layer i in `keep` (a subset of 1-4).
 
-    Each cloud's block of layer-5 pre-activations is built channel-major,
-    as one (1024, n) GEMM into a reused buffer; the bias is added in place
-    and one argmax pass over each channel's contiguous row gives its
-    maximum. The batch's per-point layer-5 activations never exist, and the
-    ReLU runs on the (B, 1024) maxima alone: it is monotone, so it keeps
-    the first maximum of a live channel, and a channel whose maximum is
-    <= 0 is dead, with g = 0 and argmax row 0.
+    Each cloud's rows are padded with zeros to a multiple of 8 and run
+    through layers 1-4 in reused (m, width) blocks; a kept layer's real
+    rows are written into the batch array (directly, when no row is
+    padding). Layer 5 is fused with the max-pool: the cloud's block of
+    layer-5 pre-activations is built channel-major, as one (1024, m) GEMM
+    into a reused buffer; the bias is added in place, the padding columns
+    are set to -inf, so they never hold a maximum, and one argmax pass over
+    each channel's contiguous row gives its maximum. The batch's per-point
+    layer-5 activations never exist, and the ReLU runs on the (B, 1024)
+    maxima alone: it is monotone, so it keeps the first maximum of a live
+    channel, and a channel whose maximum is <= 0 is dead, with g = 0 and
+    argmax row 0.
 
-    The block's rows are padded with zeros to a multiple of 8. Over a
-    ragged row count, OpenBLAS's float64 GEMM in this layout can give other
-    bits than a row-major a4 @ W5, and other bits again at another BLAS
-    thread count; over padded rows it matches a4 @ W5 bit for bit. The
-    padding columns are set to -inf, so they never hold a maximum.
-    Raises NumericalError if a maximum is not finite (NaN or +inf).
+    The padding keeps every GEMM's row count a multiple of 8. Over a
+    ragged row count, OpenBLAS's float64 GEMM in the channel-major layout
+    can give other bits than a row-major a4 @ W5, and other bits again at
+    another BLAS thread count, and over a single row numpy takes a
+    vector-matrix product with other bits than a GEMM; over padded rows
+    every layer matches the batched row-major products of _encode bit for
+    bit. Raises NumericalError if a maximum is not finite (NaN or +inf).
     """
-    B, n, _ = a4.shape
-    w5, b5 = params["enc5_w"], params["enc5_b"]
+    B, n, _ = batch.shape
+    dtype = param_dtype(params)
     m = -(-n // 8) * 8
-    rows = np.zeros((m, a4.shape[2]), dtype=w5.dtype)
-    zt = np.empty((GLOBAL_DIM, m), dtype=w5.dtype)
+    blocks = [np.zeros((m, 3), dtype=dtype)]
+    blocks += [np.empty((m, w), dtype=dtype) for w in ENCODER_WIDTHS[:4]]
+    kept = {i: np.empty((B * n, ENCODER_WIDTHS[i - 1]), dtype=dtype) for i in keep}
+    w5t, b5 = params["enc5_w"].T, params["enc5_b"][:, None]
+    zt = np.empty((GLOBAL_DIM, m), dtype=dtype)
     channels = np.arange(GLOBAL_DIM)
-    g = np.empty((B, GLOBAL_DIM), dtype=w5.dtype)
+    g = np.empty((B, GLOBAL_DIM), dtype=dtype)
     argmax = np.empty((B, GLOBAL_DIM), dtype=np.intp)
     for b in range(B):
-        src = a4[b]
-        if m > n:
-            rows[:n] = src
-            src = rows
-        np.matmul(w5.T, src.T, out=zt)
-        zt += b5[:, None]
+        rows = slice(b * n, (b + 1) * n)
+        h = blocks[0]
+        h[:n] = batch[b]
+        for i in range(1, len(ENCODER_WIDTHS)):
+            direct = i in kept and m == n
+            h = _layer(params, i, h, kept[i][rows] if direct else blocks[i])
+            if i in kept and not direct:
+                kept[i][rows] = h[:n]
+        np.matmul(w5t, h.T, out=zt)
+        zt += b5
         zt[:, n:] = -np.inf
         argmax[b] = zt.argmax(axis=1)  # NaN wins, as the first NaN row
         g[b] = zt[channels, argmax[b]]
@@ -202,7 +229,7 @@ def _layer5_max_pool(params, a4):
     np.maximum(g, 0.0, out=g)
     if not np.isfinite(g).all():
         raise NumericalError("numerical overflow in encoder activations")
-    return g, argmax
+    return g, argmax, kept
 
 
 def point_features(params: dict, clouds, layer: int) -> np.ndarray:
@@ -212,6 +239,48 @@ def point_features(params: dict, clouds, layer: int) -> np.ndarray:
     B, n, _ = batch.shape
     acts = _encode(params, batch.reshape(B * n, 3), layer)
     return np.asarray(acts[-1].reshape(B, n, -1), dtype=np.float64)
+
+
+def _forward(params, clouds, heads, drop_rng, trace: bool):
+    """(outputs, trace or None) of forward_pass and infer. Without a trace
+    the encoder keeps only the layer-4 rows a per-point head reads, and the
+    heads keep no activations."""
+    batch, single = _as_batch(clouds, param_dtype(params))
+    B, n, _ = batch.shape
+    if n < 1:
+        raise DataFormatError("clouds must contain at least one point")
+    for head in heads:
+        if head not in HEAD_OUTPUTS:
+            raise DataFormatError(f"unknown head {head!r}")
+    if trace:
+        keep = (1, 2, 3, 4)
+    else:
+        keep = (4,) if any(head != "sup" for head in heads) else ()
+    g, argmax, acts = _encode_pool(params, batch, keep)
+
+    outputs = {"global": g[0] if single else g}
+    caches = {}
+    for head in heads:
+        out, caches[head] = _head_forward(
+            params, head, g, acts.get(4), None,
+            drop_rng if head in _DROPOUT_HEADS else None, keep=trace,
+        )
+        if head != "sup":
+            out = out.reshape(B, n, -1)
+        outputs[HEAD_OUTPUTS[head]] = out[0] if single else out
+    if not trace:
+        return outputs, None
+    return outputs, {
+        "params_ref": params,
+        "B": B,
+        "n": n,
+        "single": single,
+        "x": batch.reshape(B * n, 3),
+        "acts": [acts[i] for i in keep],
+        "global": g,
+        "argmax": argmax,
+        **caches,
+    }
 
 
 def forward_pass(
@@ -230,44 +299,18 @@ def forward_pass(
     """
     if mode not in ("train", "eval"):
         raise DataFormatError(f"mode must be 'train' or 'eval', got {mode!r}")
-    dtype = param_dtype(params)
-    batch, single = _as_batch(clouds, dtype)
-    B, n, _ = batch.shape
-    if n < 1:
-        raise DataFormatError("clouds must contain at least one point")
     drop_rng = as_rng(dropout_seed) if mode == "train" else None
-
-    x = batch.reshape(B * n, 3)
-    acts = _encode(params, x, len(ENCODER_WIDTHS) - 1)
-    g, argmax = _layer5_max_pool(params, acts[3].reshape(B, n, -1))
-
-    outputs = {"global": g[0] if single else g}
-    trace = {
-        "params_ref": params,
-        "B": B,
-        "n": n,
-        "single": single,
-        "mode": mode,
-        "x": x,
-        "acts": acts,
-        "global": g,
-        "argmax": argmax,
-        "heads": tuple(heads),
-    }
-
-    for head in heads:
-        if head not in HEAD_OUTPUTS:
-            raise DataFormatError(f"unknown head {head!r}")
-        out, trace[head] = _head_forward(
-            params, head, g, acts[3], None, drop_rng if head in _DROPOUT_HEADS else None
-        )
-        if head != "sup":
-            out = out.reshape(B, n, -1)
-        outputs[HEAD_OUTPUTS[head]] = out[0] if single else out
-    return outputs, trace
+    return _forward(params, clouds, heads, drop_rng, trace=True)
 
 
-def _head_forward(params, head, g, a4, cloud, drop_rng):
+def infer(params: dict, clouds, heads=("sup",)) -> dict:
+    """The outputs of an eval-mode forward_pass, bit for bit, without its
+    trace: the encoder keeps the (B, 1024) global feature and, when a
+    per-point head follows, the batch's layer-4 rows, and nothing else."""
+    return _forward(params, clouds, heads, None, trace=False)[0]
+
+
+def _head_forward(params, head, g, a4, cloud, drop_rng, keep=True):
     """One head's output and its cached activations.
 
     `sup` reads the (B, 1024) global feature `g`. The per-point heads run on
@@ -286,6 +329,8 @@ def _head_forward(params, head, g, a4, cloud, drop_rng):
     2 take inverted dropout in place (_dropout_in_place), and the cache
     records it under "dropped"; no pre-dropout activation or mask is kept,
     because s_i > 0 exactly where the ReLU is live and the unit kept.
+    With keep=False the cache keeps no array, so each hidden layer's output
+    is freed once the next one is computed.
     """
     w1 = params[f"{head}1_w"]
     cache = {} if drop_rng is None else {"dropped": DROPOUT_LAYERS}
@@ -301,12 +346,14 @@ def _head_forward(params, head, g, a4, cloud, drop_rng):
             z3 += zg[:, None, :]
         else:
             z += zg[cloud]
-        cache["a4"], cache["cloud"] = a4, cloud
+        if keep:
+            cache["a4"], cache["cloud"] = a4, cloud
     for i in range(1, len(_HIDDEN[head]) + 1):
         np.maximum(z, 0.0, out=z)
         if i <= cache.get("dropped", 0):
             _dropout_in_place(drop_rng, z)
-        cache[f"s{i}"] = z
+        if keep:
+            cache[f"s{i}"] = z
         z = z @ params[f"{head}{i + 1}_w"]
         z += params[f"{head}{i + 1}_b"]
     if not np.isfinite(z).all():

@@ -28,7 +28,7 @@ from .mixup import mixup_classify, mixup_segment
 from .network import (
     HEAD_OUTPUTS,
     classification_loss_and_grads,
-    forward_pass,
+    infer,
     init_params,
     param_shapes,
     point_features,
@@ -190,7 +190,7 @@ def _eval_batches(params, points, batch_size, heads, key):
     pts = np.asarray(points, dtype=np.float64)
     return np.concatenate(
         [
-            forward_pass(params, pts[lo : lo + batch_size], mode="eval", heads=heads)[0][key]
+            infer(params, pts[lo : lo + batch_size], heads=heads)[key]
             for lo in range(0, len(pts), batch_size)
         ]
     )
@@ -272,12 +272,14 @@ def _check_architecture(path, params: dict, meta: dict):
             raise DataFormatError(f"{path}: metadata {key}={meta[key]!r}, parameters say {value!r}")
 
 
-def _read_checkpoint(path) -> tuple:
-    """({group: {name: read-only view}}, adam_t, meta) of a checkpoint whose
-    four groups agree in names, shapes and dtypes, whose parameters pass
-    _check_architecture and whose adam_t is a non-negative int. Only the
-    tensor headers are read; no tensor is copied."""
-    tensors, meta = read_tensors(path)
+def _read_checkpoint(path, copy) -> tuple:
+    """({group: {name: array}}, adam_t, meta) of a checkpoint whose four
+    groups agree in names, shapes and dtypes, whose parameters pass
+    _check_architecture and whose adam_t is a non-negative int. The tensors
+    whose full name passes `copy` are copies; the others are read-only
+    views of the mapped file, of which only the headers are read
+    (read_tensors)."""
+    tensors, meta = read_tensors(path, copy)
     groups = {g: {} for g in ("param", "best", "adam_m", "adam_v")}
     for name, arr in tensors.items():
         group, _, key = name.partition("/")
@@ -298,14 +300,10 @@ def _read_checkpoint(path) -> tuple:
     return groups, t, meta
 
 
-def _copies(arrays: dict) -> dict:
-    return {k: v.copy() for k, v in arrays.items()}
-
-
 def load_checkpoint(path):
     """(params, best params, AdamState, meta) of a checkpoint, as copies."""
-    groups, t, meta = _read_checkpoint(path)
-    params, best, m, v = map(_copies, groups.values())
+    groups, t, meta = _read_checkpoint(path, copy=lambda name: True)
+    params, best, m, v = groups.values()
     return params, best, AdamState(m=m, v=v, t=t), meta
 
 
@@ -330,10 +328,11 @@ def _resume_state(path, meta: dict) -> tuple:
 
 def load_params(path) -> tuple:
     """Best-scoring parameters from a checkpoint, with its metadata. The
-    whole checkpoint is checked as load_checkpoint checks it, but only the
-    `best` group is copied out of the file's bytes."""
-    groups, _, meta = _read_checkpoint(path)
-    return _copies(groups["best"]), meta
+    whole checkpoint is checked as load_checkpoint checks it, but the file
+    is mapped, so only its tensor headers and the `best` group are read,
+    and only `best` is copied."""
+    groups, _, meta = _read_checkpoint(path, copy=lambda name: name.startswith("best/"))
+    return groups["best"], meta
 
 
 # -- the training loop -----------------------------------------------------

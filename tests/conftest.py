@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,18 @@ def greedy_fps(pts, first, m):
         want.append(int(np.argmax(best)))
         best = np.minimum(best, ((pts - pts[want[-1]]) ** 2).sum(axis=1))
     return want
+
+
+def tens_bytes(items, meta=b"{}"):
+    """A `.tens` container of (name, array) pairs in the order given, which
+    save_tensors would not write if names repeat or are out of order."""
+    parts = [b"TENS", struct.pack("<HII", 1, len(items), len(meta)), meta]
+    for name, arr in items:
+        arr = np.ascontiguousarray(arr)
+        name_b, dtype_b = name.encode(), arr.dtype.str.encode()
+        parts += [struct.pack("<H", len(name_b)), name_b, struct.pack("<H", len(dtype_b)), dtype_b]
+        parts += [struct.pack(f"<H{arr.ndim}q", arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(parts)
 
 
 @pytest.fixture

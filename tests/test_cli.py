@@ -16,7 +16,7 @@ from pcda.deform import DeformSpec
 from pcda.synthbench import BenchConfig
 from pcda.training import TrainConfig
 
-from conftest import make_cloud
+from conftest import make_cloud, tens_bytes
 
 BENCH_FLAGS = [
     "--n-points", "48",
@@ -499,6 +499,41 @@ class TestTrainEvalPerplexity:
         )
         assert code == 2
         assert "data error" in err and "<q9" in err
+
+    @pytest.mark.parametrize("cut", ["empty", "in a header", "in a tensor", "trailing bytes"])
+    def test_cut_or_padded_checkpoint_is_data_error(
+        self, bench_dir, run_dir, tmp_path, capsys, cut
+    ):
+        blob = (run_dir / "best.ckpt").read_bytes()
+        name_at = blob.index(b"adam_m/enc1_b")  # the first tensor's name
+        damaged = {
+            "empty": b"",
+            "in a header": blob[: name_at + 4],
+            "in a tensor": blob[:-5],
+            "trailing bytes": blob + b"\0",
+        }[cut]
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(damaged)
+        code, stdout, err = run_cli(
+            capsys, "eval", "--bench", str(bench_dir), "--ckpt", str(ckpt),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("data error:")
+
+    def test_repeated_tensor_name_is_data_error(self, bench_dir, run_dir, tmp_path, capsys):
+        # a second best/enc1_w after the first would otherwise replace it
+        tensors, meta = load_tensors(run_dir / "best.ckpt")
+        items = sorted(tensors.items())
+        at = [name for name, _ in items].index("best/enc1_w")
+        items.insert(at + 1, ("best/enc1_w", np.zeros_like(tensors["best/enc1_w"])))
+        meta_b = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        ckpt = tmp_path / "twice.ckpt"
+        ckpt.write_bytes(tens_bytes(items, meta_b))
+        code, stdout, err = run_cli(
+            capsys, "eval", "--bench", str(bench_dir), "--ckpt", str(ckpt),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("data error:") and "'best/enc1_w'" in err
 
     @pytest.mark.parametrize(
         "damage", ["no adam_v", "x", -1, "enc2_w", "head width", "float16"]

@@ -21,6 +21,7 @@ from pcda.dataio import (
     load_ply,
     load_tensors,
     load_xyz,
+    read_tensors,
     save_archive,
     save_cloud,
     save_ply,
@@ -29,7 +30,7 @@ from pcda.dataio import (
 )
 from pcda.errors import DataFormatError
 
-from conftest import make_cloud
+from conftest import make_cloud, tens_bytes
 
 
 class TestTextFormats:
@@ -274,6 +275,36 @@ class TestTensors:
         (tmp_path / "bad.tens").write_bytes(blob[:10])
         with pytest.raises(DataFormatError):
             load_tensors(tmp_path / "bad.tens")
+
+    def test_helper_writes_what_save_tensors_writes(self, tmp_path):
+        tensors = {"a": np.arange(3.0), "b": np.ones((2, 2), dtype=np.float32)}
+        save_tensors(tmp_path / "t.tens", tensors, {})
+        assert (tmp_path / "t.tens").read_bytes() == tens_bytes(sorted(tensors.items()))
+
+    @pytest.mark.parametrize("names", [("a", "a"), ("b", "a"), ("a", "b", "b")])
+    def test_repeated_or_unsorted_names_rejected(self, tmp_path, names):
+        # a later tensor of the same name must not silently replace the first
+        path = tmp_path / "t.tens"
+        path.write_bytes(tens_bytes([(name, np.arange(2.0 + i)) for i, name in enumerate(names)]))
+        with pytest.raises(DataFormatError, match="names must be unique and sorted"):
+            read_tensors(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        (tmp_path / "t.tens").write_bytes(b"")
+        with pytest.raises(DataFormatError, match="truncated at byte 0"):
+            read_tensors(tmp_path / "t.tens")
+
+    def test_copy_picks_the_copied_tensors_and_views_stay_readable(self, tmp_path):
+        # copying "b" drops the mapping's pages from the process; the views
+        # of "a" and "c" map them anew when read
+        tensors = {"a": np.arange(4.0), "b": np.ones(2), "c": np.zeros(3)}
+        save_tensors(tmp_path / "t.tens", tensors, {})
+        tensors, _ = read_tensors(tmp_path / "t.tens", copy=lambda name: name == "b")
+        assert tensors["b"].flags.writeable and tensors["b"].flags.owndata
+        assert not tensors["a"].flags.writeable and not tensors["c"].flags.writeable
+        assert np.array_equal(tensors["a"], np.arange(4.0))
+        assert np.array_equal(tensors["b"], np.ones(2))
+        assert np.array_equal(tensors["c"], np.zeros(3))
 
 
 class TestAtomicity:

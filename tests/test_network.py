@@ -33,8 +33,8 @@ from pcda.network import (
     softmax_cross_entropy,
     zeros_like_params,
     _encode,
+    _encode_pool,
     _head_backward,
-    _layer5_max_pool,
 )
 from pcda.selfcheck import (
     check_network_gradients,
@@ -245,8 +245,8 @@ def dense_max_pool(params, a4):
 
 
 def pool_case(case, dtype):
-    """(params, layer-4 activations) of the pool pin; the biases have mixed
-    signs, so some channels are dead in some clouds or in all of them."""
+    """(params, clouds) of the pool pin; the biases have mixed signs, so
+    some channels are dead in some clouds or in all of them."""
     params = init_params(3, seed=5, dtype=dtype)
     rng = np.random.default_rng(11)
     params["enc5_b"] = rng.normal(0.0, 0.3, GLOBAL_DIM).astype(dtype)
@@ -255,38 +255,48 @@ def pool_case(case, dtype):
         clouds, _ = pin_clouds("ties")
     else:  # a ragged row count: above 192 and not a multiple of 8
         clouds = rng.uniform(-0.5, 0.5, size=(2, 300, 3))
-    B, n, _ = clouds.shape
-    x = np.asarray(clouds, dtype=dtype).reshape(B * n, 3)
-    return params, _encode(params, x, 4)[3].reshape(B, n, -1)
+    return params, np.asarray(clouds, dtype=dtype)
 
 
 class TestMaxPool:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", ["ties", "ragged"])
     def test_matches_dense_reference(self, dtype, case):
-        params, a4 = pool_case(case, dtype)
-        g, argmax = _layer5_max_pool(params, a4)
-        want_g, want_argmax = dense_max_pool(params, a4)
+        # the per-cloud loop against the batched layers 1-4 and a row-major
+        # layer 5 on every row
+        params, clouds = pool_case(case, dtype)
+        B, n, _ = clouds.shape
+        a4 = _encode(params, clouds.reshape(B * n, 3), 4)[3]
+        g, argmax, kept = _encode_pool(params, clouds, (4,))
+        want_g, want_argmax = dense_max_pool(params, a4.reshape(B, n, -1))
         assert g.dtype == dtype
+        assert np.array_equal(kept[4], a4)
         assert np.array_equal(g, want_g)
         assert np.array_equal(argmax, want_argmax)
         assert (g == 0).all(axis=0).any()  # dead in every cloud
         assert ((g == 0).any(axis=0) & (g > 0).any(axis=0)).any()  # dead in some
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_row_raises(self, value):
-        params, a4 = pool_case("ties", np.float64)
-        a4 = a4.copy()
-        a4[2, 5] = 0.0
-        a4[2, 5, 0] = value  # a NaN row, or +inf where enc5_w[0] > 0
+        params, clouds = pool_case("ties", np.float64)
+        if value == "nan":
+            clouds[2, 5, 0] = np.nan  # one point's rows are NaN up to layer 5
+        else:
+            params["enc4_b"][0] = np.inf  # layer-4 column 0 is +inf on every row
+        # the guard's two branches: a NaN maximum, or a +inf one with no NaN
+        B, n, _ = clouds.shape
+        a4 = _encode(params, clouds.reshape(B * n, 3), 4)[3]
+        z5 = a4 @ params["enc5_w"] + params["enc5_b"]
+        assert np.isnan(z5).any() == (value == "nan")
+        assert value == "nan" or z5.max() == np.inf
         with pytest.raises(NumericalError):
-            _layer5_max_pool(params, a4)
+            _encode_pool(params, clouds)
 
     def test_column_of_minus_inf_is_a_dead_channel(self):
-        params, a4 = pool_case("ties", np.float64)
+        params, clouds = pool_case("ties", np.float64)
         params["enc5_b"][100] = -np.inf
-        g, argmax = _layer5_max_pool(params, a4)
+        g, argmax, _ = _encode_pool(params, clouds)
         assert (g[:, 100] == 0).all() and (argmax[:, 100] == 0).all()
 
 

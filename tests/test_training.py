@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcda.cloud import LabeledCloud, SegLabeledCloud
-from pcda.dataio import Dataset, load_tensors, save_tensors
+from pcda.dataio import Dataset, load_tensors, read_tensors, save_tensors
 from pcda.deform import DeformSpec
 from pcda.errors import DataFormatError
-from pcda.network import init_params
+from pcda.network import HEAD_OUTPUTS, forward_pass, init_params
 from pcda.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -29,6 +30,7 @@ from pcda.training import (
     init_adam,
     load_checkpoint,
     load_params,
+    predict_logits,
     save_checkpoint,
     stratified_split,
     train,
@@ -219,6 +221,44 @@ class TestEvaluate:
         assert feats.shape == (12, 1024)
         assert feats.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("task, head", [("classification", "sup"), ("segmentation", "seg")])
+    def test_inference_matches_forward_pass_bitwise(self, dtype, task, head):
+        # 37 points, not a multiple of 8; batches of 4 over 10 clouds end with 2
+        params = init_params(3, task=task, seed=2, dtype=dtype)
+        clouds = np.random.default_rng(4).uniform(-0.5, 0.5, size=(10, 37, 3))
+        want = [forward_pass(params, clouds[lo : lo + 4], heads=(head,))[0] for lo in (0, 4, 8)]
+        logits = predict_logits(params, clouds, batch_size=4, head=head)
+        assert logits.dtype == dtype
+        assert np.array_equal(logits, np.concatenate([w[HEAD_OUTPUTS[head]] for w in want]))
+        feats = extract_global_features(params, clouds, batch_size=4)
+        assert np.array_equal(feats, np.concatenate([w["global"] for w in want]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_features_do_not_depend_on_batch_size(self, dtype):
+        # each cloud runs through the encoder alone, so pcda perplexity
+        # gives the same bits at any --batch-size
+        params = init_params(3, seed=1, dtype=dtype)
+        clouds = np.random.default_rng(5).uniform(-0.5, 0.5, size=(9, 50, 3))
+        want = extract_global_features(params, clouds, batch_size=32)
+        for batch_size in (1, 2, 4, 9):
+            assert np.array_equal(extract_global_features(params, clouds, batch_size), want)
+
+    def test_predict_logits_keeps_no_layer_blocks(self):
+        # one (B*n, 256) float32 block is 8 MiB; a trace of layers 1-4 holds two
+        B, n = 32, 256
+        params = init_params(3, seed=0, dtype=np.float32)
+        clouds = np.random.default_rng(0).uniform(-0.5, 0.5, size=(B, n, 3))
+        predict_logits(params, clouds, B)  # warm-up
+        tracemalloc.start()
+        try:
+            predict_logits(params, clouds, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = B * n * 256 * 4
+        assert peak < block, f"peak {peak / block:.2f} blocks of (B*n, 256) float32"
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
@@ -242,6 +282,37 @@ class TestCheckpoints:
         save_checkpoint(path, params, best, init_adam(params), {"epoch": 0})
         loaded, _ = load_params(path)
         assert np.array_equal(loaded["enc1_w"], best["enc1_w"])
+
+    def test_load_params_reads_only_the_best_group(self, tmp_path):
+        # the file holds four groups; load_params copies one and maps the rest
+        params = init_params(3, seed=0, dtype=np.float32)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, params, init_adam(params), {"epoch": 0})
+        best_bytes = sum(v.nbytes for v in params.values())
+        load_params(path)  # warm-up
+        tracemalloc.start()
+        try:
+            loaded, _ = load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(loaded[k], params[k]) for k in params)
+        assert peak < 1.5 * best_bytes, f"peak {peak / best_bytes:.2f} best groups"
+
+    def test_views_outlive_an_atomic_replace(self, tmp_path):
+        # read_tensors maps the file; save_checkpoint renames a new file onto
+        # the path, so the mapped one keeps its bytes
+        params = init_params(3, seed=0, dtype=np.float32)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, params, init_adam(params), {"epoch": 0})
+        tensors, meta = read_tensors(path)
+        other = {k: v + 1.0 for k, v in params.items()}
+        save_checkpoint(path, other, other, init_adam(other), {"epoch": 1})
+        assert meta["epoch"] == 0
+        for k, v in params.items():
+            assert np.array_equal(tensors[f"best/{k}"], v)
+            assert np.array_equal(tensors[f"param/{k}"], v)
+        assert np.array_equal(load_params(path)[0]["enc1_w"], other["enc1_w"])
 
     def test_unknown_group_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
