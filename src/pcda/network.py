@@ -11,6 +11,10 @@ permutation invariant. Heads:
 * seg: same structure as rec with C outputs and train-mode dropout on the
   first two hidden layers.
 
+Each head has one path. forward_pass, infer and backward serve sup and
+seg; the rec head runs only inside reconstruction_loss_and_grads, on the
+rows of the deformed region.
+
 Forward and backward passes are written out explicitly; gradients are pinned
 against central finite differences in the test suite. All arrays follow the
 parameter dtype (float64 by default, float32 supported for speed).
@@ -34,10 +38,10 @@ feature and the argmax row of each channel. Only those rows get a gradient
 through the pool, one channel per live (cloud, channel) pair, so layer 5's
 backward is a sparse product over those pairs, and layers 4-1 run on the
 argmax rows plus the rows a per-point head sends a gradient to. The
-per-point heads run on a set of rows. forward_pass gives them every point,
-so seg stays dense. The training reconstruction loss reads only the
-deformed region, so it runs the rec head on the region rows alone, and
-layers 4-1 on the region and argmax rows.
+per-point heads run on a set of rows. forward_pass gives seg every point,
+so it stays dense. The reconstruction loss reads only the deformed region,
+so it runs the rec head on the region rows alone, and layers 4-1 on the
+region and argmax rows.
 
 Inference (infer: evaluation, `pcda eval`, `pcda perplexity`) runs the
 same loop and heads with no trace: it keeps the global feature and, for a
@@ -67,7 +71,7 @@ DROPOUT_RATE = 0.5
 DROPOUT_LAYERS = 2  # train-mode dropout on the first two hidden layers of sup and seg
 DROPOUT_CHUNK = 1 << 16  # uniforms drawn per dropout chunk
 _HIDDEN = {"sup": SUP_HIDDEN, "rec": HEAD_HIDDEN, "seg": HEAD_HIDDEN}
-HEAD_OUTPUTS = {"sup": "logits", "rec": "recon", "seg": "seg_logits"}
+HEAD_OUTPUTS = {"sup": "logits", "seg": "seg_logits"}  # the heads of forward_pass
 _DROPOUT_HEADS = ("sup", "seg")
 
 
@@ -252,10 +256,12 @@ def _forward(params, clouds, heads, drop_rng, trace: bool):
     for head in heads:
         if head not in HEAD_OUTPUTS:
             raise DataFormatError(f"unknown head {head!r}")
+        if f"{head}1_w" not in params:
+            raise DataFormatError(f"the parameters hold no {head} head")
     if trace:
         keep = (1, 2, 3, 4)
     else:
-        keep = (4,) if any(head != "sup" for head in heads) else ()
+        keep = (4,) if "seg" in heads else ()
     g, argmax, acts = _encode_pool(params, batch, keep)
 
     outputs = {"global": g[0] if single else g}
@@ -292,10 +298,12 @@ def forward_pass(
 ):
     """Run the encoder and the requested heads.
 
-    `clouds` is (n, 3) or (B, n, 3). Returns (outputs, trace): outputs maps
-    "global" plus one key per requested head ("logits", "recon",
-    "seg_logits"); trace carries every cached activation needed by
-    backward(). Raises NumericalError if activations go non-finite.
+    `clouds` is (n, 3) or (B, n, 3); `heads` is a subset of the sup and
+    seg heads that the parameters hold. Returns (outputs, trace): outputs
+    maps "global" plus one key per requested head ("logits", "seg_logits");
+    trace carries every cached activation needed by backward(). Raises
+    DataFormatError for another head and NumericalError if activations go
+    non-finite.
     """
     if mode not in ("train", "eval"):
         raise DataFormatError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -436,7 +444,7 @@ def _encoder_backward(params, trace, dg, grads, rows, da4):
             dh = dh @ params[f"enc{i}_w"].T
 
 
-def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=None) -> dict:
+def backward(params: dict, trace: dict, dlogits=None, dseg_logits=None) -> dict:
     """Exact gradients of a scalar loss given its gradients at head outputs.
 
     Upstream gradients match the shapes returned by forward_pass (batched or
@@ -449,9 +457,10 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
     B, n, single = trace["B"], trace["n"], trace["single"]
     grads = zeros_like_params(params)
     dg = np.zeros((B, GLOBAL_DIM), dtype=dtype)
-    da4 = None
+    # sup sends no layer-4 gradient outside the argmax rows, seg one to every row
+    rows, da4 = np.empty(0, dtype=np.intp), np.empty((0, POINT_FEAT_DIM), dtype=dtype)
 
-    for head, d in (("sup", dlogits), ("rec", drecon), ("seg", dseg_logits)):
+    for head, d in (("sup", dlogits), ("seg", dseg_logits)):
         if d is None:
             continue
         if head not in trace:
@@ -459,17 +468,12 @@ def backward(params: dict, trace: dict, dlogits=None, drecon=None, dseg_logits=N
         d = np.asarray(d, dtype=dtype)
         if single:
             d = d[None]
-        if head != "sup":
+        if head == "seg":
             d = d.reshape(B * n, -1)
         dgh, da4h = _head_backward(params, head, trace[head], d, trace["global"], grads)
         dg += dgh
-        if da4h is not None:
-            da4 = da4h if da4 is None else da4 + da4h
-
-    if da4 is None:  # sup alone: no layer-4 gradient outside the argmax rows
-        rows, da4 = np.empty(0, dtype=np.intp), np.empty((0, POINT_FEAT_DIM), dtype=dtype)
-    else:
-        rows = np.arange(B * n)
+        if head == "seg":
+            rows, da4 = np.arange(B * n), da4h
     _encoder_backward(params, trace, dg, grads, rows, da4)
     return grads
 
@@ -524,20 +528,6 @@ def segmentation_loss_and_grads(
     return loss, grads
 
 
-def region_chamfer_and_grad(recon, originals, regions, weight: float = 1.0):
-    """Mean region-restricted Chamfer loss over a batch of reconstructions,
-    and its gradient w.r.t. `recon` (float64) scaled by `weight`."""
-    B = len(recon)
-    drecon = np.zeros_like(recon, dtype=np.float64)
-    total = 0.0
-    for b in range(B):
-        res = chamfer_loss_region(recon[b], originals[b], regions[b])
-        total += res.value
-        drecon[b] = res.grad_pred
-    drecon *= weight / B
-    return total / B, drecon
-
-
 def reconstruction_loss_and_grads(
     params, deformed, originals, regions, weight: float = 1.0
 ):
@@ -564,10 +554,17 @@ def reconstruction_loss_and_grads(
     )
     recon = np.zeros((B * n, 3), dtype=out.dtype)
     recon[rows] = out
-    loss, drecon = region_chamfer_and_grad(recon.reshape(B, n, 3), originals, regions, weight)
+    recon = recon.reshape(B, n, 3)
+    drecon = np.zeros((B, n, 3))
+    total = 0.0
+    for b in range(B):
+        res = chamfer_loss_region(recon[b], originals[b], regions[b])
+        total += res.value
+        drecon[b] = res.grad_pred
+    drecon *= weight / B
     grads = zeros_like_params(params)
     dout = drecon.reshape(B * n, 3)[rows].astype(out.dtype)
     dg, da4 = _head_backward(params, "rec", cache, dout, trace["global"], grads)
     del cache, out, recon  # the encoder backward reads none of them
     _encoder_backward(params, trace, dg, grads, rows, da4)
-    return loss, grads
+    return total / B, grads

@@ -5,6 +5,11 @@ pairwise distances, network gradients by central finite differences,
 Gaussian scores by explicit inverse and determinant, plus closed-form
 values checked by hand. The production code never calls these; the CLI
 selftest and the test suite do.
+
+The network gradient check takes its analytic side from the losses that
+training runs: classification_loss_and_grads plus the region-sparse
+reconstruction_loss_and_grads. Its finite-difference side evaluates the
+same loss by another route, with the rec head on every point of the batch.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from .evaluation import (
 )
 from .mixup import LabeledCloud, mixup_classify
 from .network import (
-    backward,
+    _head_forward,
+    classification_loss_and_grads,
     forward_pass,
     init_params,
     reconstruction_loss_and_grads,
-    region_chamfer_and_grad,
     softmax_cross_entropy,
 )
 from .training import cosine_lr
@@ -127,14 +132,18 @@ def gradient_agreement(analytic, numeric, tol: float, floor: float = 1e-8):
 def composite_loss_and_grads(
     params, clouds, soft_labels, targets, regions, ssl_weight, dropout_seed
 ):
-    """Cross entropy plus weighted region Chamfer through both heads in one
-    pass; used to check gradient accumulation across heads."""
-    outputs, trace = forward_pass(
-        params, clouds, mode="train", heads=("sup", "rec"), dropout_seed=dropout_seed
+    """Cross entropy plus weighted region Chamfer of the same clouds, and the
+    sum of both losses' gradients: classification_loss_and_grads (train
+    mode, dropout drawn from `dropout_seed`) plus reconstruction_loss_and_grads
+    (weighted by `ssl_weight`), the two losses that training runs."""
+    ce, grads = classification_loss_and_grads(
+        params, clouds, soft_labels, mode="train", dropout_seed=dropout_seed
     )
-    ce, dlogits = softmax_cross_entropy(outputs["logits"], soft_labels)
-    rec_loss, drecon = region_chamfer_and_grad(outputs["recon"], targets, regions, ssl_weight)
-    grads = backward(params, trace, dlogits=dlogits, drecon=drecon)
+    rec_loss, rec_grads = reconstruction_loss_and_grads(
+        params, clouds, targets, regions, ssl_weight
+    )
+    for name, grad in rec_grads.items():
+        grads[name] += grad
     return ce + ssl_weight * rec_loss, grads
 
 
@@ -149,6 +158,10 @@ def check_network_gradients(
     seed: int = 0,
 ):
     """Finite-difference check of the composite loss gradient.
+
+    The analytic gradients come from composite_loss_and_grads; the finite
+    differences run the rec head on every layer-4 row of one traced sup
+    pass (cloud=None, the path of the seg head).
 
     Returns (fraction of coordinates within tol, worst relative error,
     number of coordinates checked). The loss of a rectifier network is
@@ -171,15 +184,17 @@ def check_network_gradients(
     dropout_seed = kids[2]
 
     def loss_only():
-        outputs, _ = forward_pass(
-            params, clouds, mode="train", heads=("sup", "rec"), dropout_seed=dropout_seed
+        outputs, trace = forward_pass(
+            params, clouds, mode="train", heads=("sup",), dropout_seed=dropout_seed
         )
         ce, _ = softmax_cross_entropy(outputs["logits"], soft)
+        recon, _ = _head_forward(
+            params, "rec", trace["global"], trace["acts"][3], None, None, keep=False
+        )
+        recon = recon.reshape(batch, n_points, 3)
         rec = 0.0
         for b in range(batch):
-            rec += chamfer_loss_region(
-                np.asarray(outputs["recon"][b]), targets[b], regions[b]
-            ).value
+            rec += chamfer_loss_region(recon[b], targets[b], regions[b]).value
         return ce + ssl_weight * rec / batch
 
     _, grads = composite_loss_and_grads(
@@ -249,35 +264,6 @@ def check_gradients() -> CheckResult:
         "network-gradients",
         frac >= 0.99,
         f"{frac:.4f} of {count} coords within 1e-4 (worst rel {worst:.2e})",
-    )
-
-
-def check_reconstruction_path(seed: int = 0) -> CheckResult:
-    """The training path's reconstruction loss, whose rec head runs on the
-    region rows only, against the dense composite pass. The network has one
-    class, so the composite's cross entropy and sup gradient are exactly
-    zero and what remains is its weighted reconstruction part."""
-    kids = np.random.SeedSequence([seed, 9]).spawn(3)
-    params = init_params(1, task="classification", seed=kids[0], dtype=np.float64)
-    rng = as_rng(kids[1])
-    batch, n_points, weight = 3, 24, 0.5
-    clouds = rng.normal(size=(batch, n_points, 3))
-    targets = rng.normal(size=(batch, n_points, 3))
-    regions = [rng.choice(n_points, size=k, replace=False) for k in (1, 7, n_points)]
-    loss, grads = reconstruction_loss_and_grads(params, clouds, targets, regions, weight)
-    total, want = composite_loss_and_grads(
-        params, clouds, np.ones((batch, 1)), targets, regions, weight, kids[2]
-    )
-    loss_err = abs(weight * loss - total) / abs(total)
-    worst = max(
-        np.abs(grads[k] - want[k]).max() / max(np.abs(want[k]).max(), np.finfo(float).tiny)
-        for k in want
-    )
-    sup_zero = not any(want[k].any() for k in want if k.startswith("sup"))
-    return _check(
-        "reconstruction-path",
-        loss_err <= 1e-12 and worst <= 1e-12 and sup_zero,
-        f"loss rel {loss_err:.1e}, worst grad rel {worst:.1e} vs the dense composite",
     )
 
 
@@ -389,7 +375,6 @@ def run_all() -> list:
         check_chamfer(),
         check_region_gradient(),
         check_gradients(),
-        check_reconstruction_path(),
         check_mixup(),
         check_deformations(),
         check_perplexity(),

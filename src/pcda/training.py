@@ -197,7 +197,8 @@ def _eval_batches(params, points, batch_size, heads, key):
 
 
 def predict_logits(params: dict, points, batch_size: int = 32, head: str = "sup"):
-    return _eval_batches(params, points, batch_size, (head,), HEAD_OUTPUTS[head])
+    # infer raises DataFormatError for a head that is not in HEAD_OUTPUTS
+    return _eval_batches(params, points, batch_size, (head,), HEAD_OUTPUTS.get(head))
 
 
 def extract_global_features(params: dict, points, batch_size: int = 32) -> np.ndarray:

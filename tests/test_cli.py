@@ -630,8 +630,8 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, stdout, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "10/10 checks passed" in stdout
-        assert stdout.count("PASS") == 10
+        assert "9/9 checks passed" in stdout
+        assert stdout.count("PASS") == 9
         assert "FAIL" not in stdout
 
     def test_console_script_entry_point(self):

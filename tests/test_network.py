@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pcda import network
+from pcda.chamfer import chamfer_loss_region
 from pcda.deform import DeformSpec, apply_deformation
 from pcda.errors import DataFormatError, NumericalError
 from pcda.network import (
@@ -28,13 +29,13 @@ from pcda.network import (
     param_dtype,
     point_features,
     reconstruction_loss_and_grads,
-    region_chamfer_and_grad,
     segmentation_loss_and_grads,
     softmax_cross_entropy,
     zeros_like_params,
     _encode,
     _encode_pool,
     _head_backward,
+    _head_forward,
 )
 from pcda.selfcheck import (
     check_network_gradients,
@@ -101,10 +102,10 @@ class TestInit:
 class TestForward:
     def test_output_shapes_batch(self, params_cls):
         clouds = np.stack([make_cloud(i, 20) for i in range(4)])
-        out, _ = forward_pass(params_cls, clouds, heads=("sup", "rec"))
+        out, _ = forward_pass(params_cls, clouds, heads=("sup",))
+        assert set(out) == {"global", "logits"}
         assert out["global"].shape == (4, GLOBAL_DIM)
         assert out["logits"].shape == (4, 3)
-        assert out["recon"].shape == (4, 20, 3)
 
     def test_output_shapes_single(self, params_cls):
         out, _ = forward_pass(params_cls, make_cloud(0, 20), heads=("sup",))
@@ -219,6 +220,18 @@ class TestForward:
         with pytest.raises(DataFormatError):
             forward_pass(params_cls, make_cloud(0, 8), heads=("nope",))
 
+    @pytest.mark.parametrize("entry", ["forward_pass", "infer"])
+    def test_bad_heads_rejected(self, params_cls, params_seg, entry):
+        # an unknown head (rec among them: it runs only inside the
+        # reconstruction loss), or a head the parameters do not hold
+        run = getattr(network, entry)
+        cloud = make_cloud(0, 8)
+        for params, head in (
+            (params_cls, "nope"), (params_cls, "rec"), (params_cls, "seg"), (params_seg, "sup"),
+        ):
+            with pytest.raises(DataFormatError, match=head):
+                run(params, cloud, heads=(head,))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_numerical_error(self, params_cls):
         blown = dict(params_cls)
@@ -302,12 +315,16 @@ class TestMaxPool:
 
 THREAD_PROBE = """
 import numpy as np
-from pcda.network import forward_pass, init_params
+from pcda.network import _head_forward, forward_pass, init_params
 clouds = np.random.default_rng(3).uniform(-0.5, 0.5, size=(3, 300, 3))
 for task, head in (("classification", "sup"), ("segmentation", "seg")):
     for dtype in (np.float32, np.float64):
         params = init_params(4, task=task, seed=1, dtype=dtype)
-        out, trace = forward_pass(params, clouds, heads=(head, "rec"))
+        out, trace = forward_pass(params, clouds, heads=(head,))
+        # the rec head on every layer-4 row of the trace
+        out["recon"] = _head_forward(
+            params, "rec", trace["global"], trace["acts"][3], None, None
+        )[0]
         for key, arr in sorted(out.items()) + [("argmax", trace["argmax"])]:
             print(task, dtype.__name__, key, arr.tobytes().hex())
 """
@@ -331,24 +348,19 @@ def test_forward_pass_bits_do_not_depend_on_blas_threads():
     assert not differ
 
 
-def dense_backward(params, trace, **upstream):
+def dense_backward(params, trace, upstream):
     """The encoder backward before the sparse max-pool, kept as a reference:
     scatter the gated global gradient into dense (B*n, 1024) zeros and run
-    all five encoder layers on every row."""
+    all five encoder layers on every row. `upstream` maps each head to its
+    cache and the gradient at its output, (B, C) for sup and (B*n, width)
+    for a per-point head run on every row."""
     dtype = param_dtype(params)
     B, n = trace["B"], trace["n"]
     grads = zeros_like_params(params)
     dg = np.zeros((B, GLOBAL_DIM), dtype=dtype)
     da4_extra = None
-    for head, key in (("sup", "dlogits"), ("rec", "drecon"), ("seg", "dseg_logits")):
-        if upstream.get(key) is None:
-            continue
-        d = np.asarray(upstream[key], dtype=dtype)
-        if trace["single"]:
-            d = d[None]
-        if head != "sup":
-            d = d.reshape(B * n, -1)
-        dgh, da4 = _head_backward(params, head, trace[head], d, trace["global"], grads)
+    for head, (cache, d) in upstream.items():
+        dgh, da4 = _head_backward(params, head, cache, d, trace["global"], grads)
         dg += dgh
         if da4 is not None:
             da4_extra = da4 if da4_extra is None else da4_extra + da4
@@ -368,6 +380,46 @@ def dense_backward(params, trace, **upstream):
             if i - 1 == 4 and da4_extra is not None:
                 dh += da4_extra
     return grads
+
+
+def dense_rec(params, trace):
+    """The rec head on every layer-4 row of a trace, as the seg head runs:
+    its (B, n, 3) output and its cache."""
+    out, cache = _head_forward(params, "rec", trace["global"], trace["acts"][3], None, None)
+    return out.reshape(trace["B"], trace["n"], 3), cache
+
+
+def dense_region_chamfer(recon, originals, regions, weight):
+    """Mean region Chamfer of (B, n, 3) reconstructions, one
+    chamfer_loss_region per cloud, and its weighted gradient at every row,
+    as (B*n, 3) in the reconstruction's dtype."""
+    B = len(recon)
+    total, drecon = 0.0, np.zeros(recon.shape)
+    for b in range(B):
+        res = chamfer_loss_region(recon[b], originals[b], regions[b])
+        total += res.value
+        drecon[b] = res.grad_pred
+    drecon *= weight / B
+    return total / B, drecon.reshape(-1, 3).astype(recon.dtype)
+
+
+def dense_composite(params, clouds, soft, originals, regions, weight, dropout_seed):
+    """composite_loss_and_grads by the dense route: one traced train-mode
+    sup pass, the rec head on every row of its trace, and one backward of
+    both heads."""
+    out, trace = forward_pass(
+        params, clouds, mode="train", heads=("sup",), dropout_seed=dropout_seed
+    )
+    if trace["single"]:
+        originals, regions = originals[None], [regions]
+    ce, dlogits = softmax_cross_entropy(out["logits"], soft)
+    recon, cache = dense_rec(params, trace)
+    rec_loss, drecon = dense_region_chamfer(recon, originals, regions, weight)
+    upstream = {
+        "sup": (trace["sup"], dlogits.reshape(trace["B"], -1).astype(recon.dtype)),
+        "rec": (cache, drecon),
+    }
+    return ce + weight * rec_loss, dense_backward(params, trace, upstream)
 
 
 def pin_clouds(case):
@@ -401,27 +453,51 @@ class TestBackward:
     @pytest.mark.parametrize("case", ["ties", "single", "b1"])
     @pytest.mark.parametrize("heads", [("sup",), ("rec",), ("seg",), ("sup", "rec")])
     def test_sparse_matches_dense_reference(self, dtype, tol, case, heads):
+        # ("rec",) is reconstruction_loss_and_grads, the region-sparse rec
+        # head against the rec head on every row; ("sup", "rec") is
+        # composite_loss_and_grads: the classification and the region-sparse
+        # reconstruction losses, summed, against one dense backward of both
+        # heads
         task = "segmentation" if "seg" in heads else "classification"
         params = init_params(3, task=task, seed=5, dtype=dtype)
         clouds, batched = pin_clouds(case)
-        out, trace = forward_pass(params, clouds, mode="train", heads=heads, dropout_seed=2)
+        rng = np.random.default_rng(3)
         if case == "ties":
             a5 = point_features(params, clouds, 5)
             assert (a5 == 0).all(axis=1).any()  # dead channels
             assert ((a5 == a5.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties
-        rng = np.random.default_rng(3)
-        keys = {"sup": "dlogits", "rec": "drecon", "seg": "dseg_logits"}
-        upstream = {
-            keys[h]: rng.normal(size=out[HEAD_OUTPUTS[h]].shape) for h in heads
-        }
-        got = backward(params, trace, **upstream)
-        want = dense_backward(params, trace, **upstream)
+        if "rec" in heads:
+            soft = rng.dirichlet(np.ones(3), size=clouds.shape[:-2])
+            originals = rng.uniform(-0.5, 0.5, size=clouds.shape)
+            n = clouds.shape[-2]
+            regions = [np.sort(rng.choice(n, size=k, replace=False)) for k in (1, 9, n, 4)]
+            regions = regions[: len(clouds)] if batched else regions[1]
+            if "sup" in heads:
+                args = (params, clouds, soft, originals, regions, 0.5, 2)
+                loss, got = composite_loss_and_grads(*args)
+                want_loss, want = dense_composite(*args)
+            else:
+                args = (params, clouds, originals, regions, 0.5)
+                loss, got = reconstruction_loss_and_grads(*args)
+                want_loss, want = dense_reconstruction(*args)
+            assert loss == pytest.approx(want_loss, rel=tol)
+        else:
+            (head,) = heads
+            out, trace = forward_pass(params, clouds, mode="train", heads=heads, dropout_seed=2)
+            d = rng.normal(size=out[HEAD_OUTPUTS[head]].shape)
+            got = backward(params, trace, **{{"sup": "dlogits", "seg": "dseg_logits"}[head]: d})
+            rows = trace["B"] if head == "sup" else trace["B"] * trace["n"]
+            d = d.reshape(rows, -1).astype(dtype)
+            want = dense_backward(params, trace, {head: (trace[head], d)})
         assert set(got) == set(want)
         for k in want:
             scale = max(np.abs(want[k]).max(), np.finfo(dtype).tiny)
             err = np.abs(got[k] - want[k]).max() / scale
             assert err <= tol, f"{k}: relative difference {err:.2e}"
         assert np.abs(got["enc1_w"]).max() > 0
+        if "rec" in heads:
+            live = ("rec1_w", "rec4_w") + (("sup1_w",) if "sup" in heads else ())
+            assert all(np.abs(got[k]).max() > 0 for k in live)
 
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
     def test_sparse_pool_backward_finite_differences(self, task):
@@ -511,7 +587,7 @@ class TestBackward:
         units = peak / (B * n * 256 * 4)
         assert units < 11.0, f"peak {units:.2f} units of B*n*256 float32"
 
-    @pytest.mark.parametrize("heads", [("sup", "rec"), ("seg", "rec")])
+    @pytest.mark.parametrize("heads", [("sup",), ("seg",)])
     def test_trace_keeps_no_layer5_activations(self, heads):
         task = "segmentation" if "seg" in heads else "classification"
         params = init_params(3, task=task, seed=0, dtype=np.float32)
@@ -547,13 +623,14 @@ class TestBackward:
 
 def dense_reconstruction(params, deformed, originals, regions, weight):
     """The dense reconstruction path, kept as the reference: the rec head on
-    every point, the region Chamfer, and dense_backward above."""
-    out, trace = forward_pass(params, deformed, heads=("rec",))
-    recon = out["recon"]
+    every point of a heads=() trace, the region Chamfer cloud by cloud, and
+    dense_backward above."""
+    _, trace = forward_pass(params, deformed, heads=())
+    recon, cache = dense_rec(params, trace)
     if trace["single"]:
-        recon, originals, regions = recon[None], np.asarray(originals)[None], [regions]
-    loss, drecon = region_chamfer_and_grad(recon, originals, regions, weight)
-    return loss, dense_backward(params, trace, drecon=drecon[0] if trace["single"] else drecon)
+        originals, regions = np.asarray(originals)[None], [regions]
+    loss, drecon = dense_region_chamfer(recon, originals, regions, weight)
+    return loss, dense_backward(params, trace, {"rec": (cache, drecon)})
 
 
 def region_case(case, params):
@@ -740,17 +817,12 @@ class TestCrossEntropy:
 
 class TestLosses:
     def test_reconstruction_loss_is_mean_region_chamfer(self, params_cls):
-        from pcda.chamfer import chamfer_loss_region
-
         clouds = np.stack([make_cloud(i, 16) for i in range(3)])
         regions = [np.arange(4), np.arange(5, 9), np.arange(10, 16)]
         loss, _ = reconstruction_loss_and_grads(params_cls, clouds, clouds, regions)
-        out, _ = forward_pass(params_cls, clouds, heads=("rec",))
+        recon, _ = dense_rec(params_cls, forward_pass(params_cls, clouds, heads=())[1])
         want = np.mean(
-            [
-                chamfer_loss_region(out["recon"][b], clouds[b], regions[b]).value
-                for b in range(3)
-            ]
+            [chamfer_loss_region(recon[b], clouds[b], regions[b]).value for b in range(3)]
         )
         assert loss == pytest.approx(want, rel=1e-12)
 

@@ -244,6 +244,14 @@ class TestEvaluate:
         for batch_size in (1, 2, 4, 9):
             assert np.array_equal(extract_global_features(params, clouds, batch_size), want)
 
+    def test_predict_logits_rejects_bad_heads(self):
+        # an unknown head (rec among them), or one the parameters do not hold
+        clouds = np.random.default_rng(0).uniform(-0.5, 0.5, size=(3, 16, 3))
+        cls, seg = init_params(3, seed=0), init_params(3, task="segmentation", seed=0)
+        for params, head in ((cls, "nope"), (cls, "rec"), (cls, "seg"), (seg, "sup")):
+            with pytest.raises(DataFormatError, match=head):
+                predict_logits(params, clouds, head=head)
+
     def test_predict_logits_keeps_no_layer_blocks(self):
         # one (B*n, 256) float32 block is 8 MiB; a trace of layers 1-4 holds two
         B, n = 32, 256
