@@ -173,7 +173,7 @@ def jitter(points: np.ndarray, sigma: float = 0.01, clip: float = 0.02, seed=Non
 
 
 class NeighborIndex:
-    """Immutable spatial index over a fixed cloud for exact kNN/radius queries.
+    """Immutable spatial index over a fixed cloud for exact kNN queries.
 
     Backed by a k-d tree; results match brute-force search exactly. Safe to
     share across threads once built.
@@ -206,13 +206,6 @@ class NeighborIndex:
         if np.asarray(query).ndim == 1:
             return idx[0]
         return idx
-
-    def radius(self, center, r: float) -> np.ndarray:
-        """Sorted indices of all points within Euclidean distance r of center."""
-        if r < 0:
-            raise DataFormatError("radius must be non-negative")
-        idx = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), r)
-        return np.sort(np.asarray(idx, dtype=np.int64))
 
     def nearest_dist_sq(self, query) -> np.ndarray:
         """Squared distance from each query point to its nearest indexed point."""

@@ -10,8 +10,11 @@ with draws from an isotropic Gaussian around a region center, producing a
   (half-space split, axis-aligned density ramp, or normal-vs-view-direction
   weighting).
 
-A mixed mode draws one of the three families uniformly per call and applies
-its variant (voxel, feature or split) with the spec's own parameters.
+apply_deformation is the one deformation path: it checks the cloud, draws
+the family of a mixed spec (drawn_spec), runs the kind's region selector,
+which gives the region and its center, and relocates the region. A mixed
+spec draws one of the three families uniformly per call and applies its
+variant (voxel, feature or split) with the spec's own parameters.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ KINDS = ("voxel", "sphere", "feature", "split", "gradient", "lambertian", "mixed
 FAMILIES = ("volume", "feature", "sample")
 MIXED_KINDS = {"volume": "voxel", "feature": "feature", "sample": "split"}
 FEATURE_KINDS = ("feature", "mixed")  # kinds that select by encoder features
-NORMALS_K = 10  # plane-fit neighborhood when normals are estimated
+NORMALS_K = 10  # plane-fit neighborhood of the lambertian scheme's normals
 
 # retry budget when a stochastic scheme selects nothing
 _MAX_RETRIES = 16
@@ -83,88 +86,42 @@ class DeformedPair:
     kind: str = ""
 
 
-def _relocate(points, region, center, sigma, rng):
-    deformed = points.copy()
-    deformed[region] = center + rng.normal(0.0, sigma, size=(len(region), 3))
-    return deformed
-
-
-def deform_voxel(points, k: int = 3, relocate_sigma: float = 0.05, seed=None) -> DeformedPair:
-    """Replace one random non-empty cell of a k^3 voxel grid over the
-    bounding box with Gaussian samples around the cell center.
-
-    Empty cells are excluded from the draw so the region is never empty.
-    """
-    pts = check_cloud(points)
-    rng = as_rng(seed)
+def _voxel_region(pts, k, rng):
+    # one random non-empty cell of a k^3 grid over the bounding box, around
+    # the cell center; empty cells are not drawn, so the region is never empty
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = hi - lo
+    span = pts.max(axis=0) - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(span > 0, (pts - lo) / span, 0.0)
     cells = np.minimum((rel * k).astype(np.int64), k - 1)
     flat = cells[:, 0] * k * k + cells[:, 1] * k + cells[:, 2]
     occupied = np.unique(flat)
     chosen = occupied[rng.integers(len(occupied))]
-    region = np.flatnonzero(flat == chosen)
     ijk = np.array([chosen // (k * k), (chosen // k) % k, chosen % k])
-    center = lo + (ijk + 0.5) / k * span
-    return DeformedPair(
-        deformed=_relocate(pts, region, center, relocate_sigma, rng),
-        original=pts,
-        region=region,
-        region_center=center,
-        kind="voxel",
-    )
+    return np.flatnonzero(flat == chosen), lo + (ijk + 0.5) / k * span
 
 
-def deform_sphere(points, radius: float = 0.2, relocate_sigma: float = 0.05, seed=None) -> DeformedPair:
-    """Replace all points within a fixed radius of a random data point with
-    Gaussian samples around that point."""
-    pts = check_cloud(points)
-    if not radius > 0:
-        raise DataFormatError("sphere radius must be positive")
-    rng = as_rng(seed)
+def _sphere_region(pts, radius, rng):
+    # every point within `radius` of a random data point, around that point
     center = pts[rng.integers(len(pts))].copy()
     d2 = ((pts - center) ** 2).sum(axis=1)
-    region = np.flatnonzero(d2 <= radius * radius)
-    return DeformedPair(
-        deformed=_relocate(pts, region, center, relocate_sigma, rng),
-        original=pts,
-        region=region,
-        region_center=center,
-        kind="sphere",
-    )
+    return np.flatnonzero(d2 <= radius * radius), center
 
 
-def deform_feature_knn(points, features, k_pts: int, relocate_sigma: float = 0.05, seed=None) -> DeformedPair:
-    """Replace a random point and its k_pts-1 nearest neighbors in feature
-    space with Gaussian samples around the origin.
-
-    The region has exactly k_pts points (the seed point counts). Feature
-    distance ties resolve to the lowest index.
-    """
-    pts = check_cloud(points)
+def _feature_region(pts, features, k_pts, rng):
+    # a random point and its k_pts-1 nearest neighbors in feature space,
+    # around the origin; feature distance ties resolve to the lowest index
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or len(feats) != len(pts):
         raise DataFormatError(
             f"features shape {feats.shape} does not match cloud of {len(pts)} points"
         )
-    if not 1 <= k_pts < len(pts):
+    if k_pts >= len(pts):  # DeformSpec refuses k_pts < 1
         raise DataFormatError(f"k_pts={k_pts} must be in [1, n) for n={len(pts)}")
-    rng = as_rng(seed)
     anchor = int(rng.integers(len(pts)))
     d2 = ((feats - feats[anchor]) ** 2).sum(axis=1)
     d2[anchor] = -1.0  # anchor always first
-    region = np.sort(np.argsort(d2, kind="stable")[:k_pts])
-    origin = np.zeros(3)
-    return DeformedPair(
-        deformed=_relocate(pts, region, origin, relocate_sigma, rng),
-        original=pts,
-        region=region,
-        region_center=origin,
-        kind="feature",
-    )
+    return np.sort(np.argsort(d2, kind="stable")[:k_pts]), np.zeros(3)
 
 
 def _select_split(pts, rng):
@@ -209,21 +166,15 @@ def _select_lambertian(pts, rng, normals):
     return np.flatnonzero(rng.uniform(size=len(pts)) < weight / top)
 
 
-def sample_region(
-    points,
-    scheme: str,
-    seed=None,
-    cap_fraction: float = 0.5,
-    normals=None,
-) -> np.ndarray:
+def sample_region(points, scheme: str, seed=None, cap_fraction: float = 0.5) -> np.ndarray:
     """Indices drawn by one of the stochastic sampling schemes.
 
     Schemes: "split" takes one side of a random hyperplane plus a thinned
     share of the other, "gradient" samples along a linear density ramp on the
     largest axis, "lambertian" weights by clamped normal/view-direction
-    alignment (normals estimated from the cloud when not supplied). The
-    result is capped at ceil(cap_fraction * n) indices by uniform
-    subsampling; empty draws are retried up to 16 times.
+    alignment (plane-fit normals of the cloud). The result is capped at
+    ceil(cap_fraction * n) indices by uniform subsampling; empty draws are
+    retried up to 16 times.
     """
     pts = check_cloud(points)
     if scheme not in SAMPLE_SCHEMES:
@@ -232,12 +183,7 @@ def sample_region(
         raise DataFormatError("cap_fraction must be in (0, 1]")
     rng = as_rng(seed)
     if scheme == "lambertian":
-        if normals is None:
-            normals = estimate_normals(pts, k=min(NORMALS_K, len(pts)))
-        else:
-            normals = np.asarray(normals, dtype=np.float64)
-            if normals.shape != pts.shape:
-                raise DataFormatError("normals shape must match cloud shape")
+        normals = estimate_normals(pts, k=min(NORMALS_K, len(pts)))
 
     cap = int(np.ceil(cap_fraction * len(pts)))
     region = np.empty(0, dtype=np.int64)
@@ -257,66 +203,50 @@ def sample_region(
     return region
 
 
-def deform_sample(
-    points,
-    scheme: str,
-    sample_cap_fraction: float = 0.5,
-    relocate_sigma: float = 0.05,
-    seed=None,
-    normals=None,
-) -> DeformedPair:
-    """Select points by a stochastic sampling scheme (see sample_region) and
-    relocate them to Gaussian samples around the origin."""
-    pts = check_cloud(points)
-    rng = as_rng(seed)
-    region = sample_region(
-        pts,
-        scheme,
-        seed=rng,
-        cap_fraction=sample_cap_fraction,
-        normals=normals,
-    )
-    origin = np.zeros(3)
-    return DeformedPair(
-        deformed=_relocate(pts, region, origin, relocate_sigma, rng),
-        original=pts,
-        region=region,
-        region_center=origin,
-        kind=scheme,
-    )
-
-
 def pick_mixed_family(seed=None) -> str:
     """Draw one of the three deformation families with probability 1/3 each."""
     return FAMILIES[as_rng(seed).integers(3)]
 
 
-def apply_deformation(points, spec: DeformSpec, seed=None, features=None, normals=None) -> DeformedPair:
+def drawn_spec(spec: DeformSpec, rng) -> DeformSpec:
+    """`spec` itself, or for a mixed spec a copy whose kind is the variant
+    of the family drawn from the generator `rng`. The draw is the first one
+    apply_deformation makes, so drawing the spec ahead and deforming with it
+    and the same generator makes the draws of deforming with `spec`."""
+    if spec.kind != "mixed":
+        return spec
+    return replace(spec, kind=MIXED_KINDS[pick_mixed_family(rng)])
+
+
+def apply_deformation(points, spec: DeformSpec, seed=None, features=None) -> DeformedPair:
     """Apply the deformation described by `spec` to a cloud.
 
-    `features` supplies the per-point embedding for feature-space selection;
-    when absent the raw coordinates are used as the feature space. For the
-    mixed kind, one family is drawn uniformly and its variant applied with
-    the spec's own parameters.
+    A mixed spec first draws its family (drawn_spec). The kind's selector
+    then gives the region and its center: the points of a random non-empty
+    voxel cell around the cell center, the points within `radius` of a
+    random data point around that point, a random point and its k_pts - 1
+    nearest neighbors in feature space around the origin, or a
+    sample_region draw around the origin. `features` is the per-point
+    embedding of feature-space selection; when absent the raw coordinates
+    are used. The region's points are replaced by draws from a Gaussian
+    of standard deviation relocate_sigma around the center.
     """
     pts = check_cloud(points)
     rng = as_rng(seed)
-    if spec.kind == "mixed":
-        spec = replace(spec, kind=MIXED_KINDS[pick_mixed_family(rng)])
+    spec = drawn_spec(spec, rng)
     if spec.kind == "voxel":
-        return deform_voxel(pts, k=spec.k, relocate_sigma=spec.relocate_sigma, seed=rng)
-    if spec.kind == "sphere":
-        return deform_sphere(pts, radius=spec.radius, relocate_sigma=spec.relocate_sigma, seed=rng)
-    if spec.kind == "feature":
-        feats = pts if features is None else features
-        return deform_feature_knn(
-            pts, feats, k_pts=spec.k_pts, relocate_sigma=spec.relocate_sigma, seed=rng
+        region, center = _voxel_region(pts, spec.k, rng)
+    elif spec.kind == "sphere":
+        region, center = _sphere_region(pts, spec.radius, rng)
+    elif spec.kind == "feature":
+        region, center = _feature_region(
+            pts, pts if features is None else features, spec.k_pts, rng
         )
-    return deform_sample(
-        pts,
-        scheme=spec.kind,
-        sample_cap_fraction=spec.sample_cap_fraction,
-        relocate_sigma=spec.relocate_sigma,
-        seed=rng,
-        normals=normals,
+    else:
+        region = sample_region(pts, spec.kind, seed=rng, cap_fraction=spec.sample_cap_fraction)
+        center = np.zeros(3)
+    deformed = pts.copy()
+    deformed[region] = center + rng.normal(0.0, spec.relocate_sigma, size=(len(region), 3))
+    return DeformedPair(
+        deformed=deformed, original=pts, region=region, region_center=center, kind=spec.kind
     )

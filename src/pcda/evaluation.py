@@ -1,10 +1,10 @@
 """Metrics and feature-space diagnostics.
 
-Classification accuracy, per-class mean IoU for part segmentation, and a
-Gaussian fit diagnostic: class-conditional Gaussians are fitted on labelled
-source features and target features are scored by their negative average
-log-likelihood under the mixture of their predicted or true class. Lower
-scores mean target features land where source classes live.
+Per-class mean IoU for part segmentation, and a Gaussian fit diagnostic:
+class-conditional Gaussians are fitted on labelled source features and
+target features are scored by their negative average log-likelihood under
+the mixture of their predicted or true class. Lower scores mean target
+features land where source classes live.
 
 Each class Gaussian is held in the subspace its samples span: a thin SVD
 of the class's centered features gives at most n_c directions with their
@@ -20,17 +20,6 @@ from .errors import DataFormatError, NumericalError
 
 GAUSS_REG = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def accuracy(pred_labels, true_labels) -> float:
-    """Fraction of exact label matches."""
-    pred = np.asarray(pred_labels, dtype=np.int64)
-    true = np.asarray(true_labels, dtype=np.int64)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise DataFormatError("prediction/label shapes differ")
-    if pred.size == 0:
-        raise DataFormatError("accuracy of an empty label set is undefined")
-    return float((pred == true).mean())
 
 
 def mean_iou(pred_labels, true_labels, num_parts: int) -> float:

@@ -29,12 +29,24 @@ class MixedSample:
     point_labels: np.ndarray | None = None
 
 
-def _draw_counts(n: int, alpha: float, beta: float, rng, gamma=None):
+def _mix(a_points, b_points, alpha: float, beta: float, seed, gamma):
+    """(mixed points, indices drawn from a, indices drawn from b, realized
+    fraction of a) for two clouds of equal size: the coefficient is drawn
+    from Beta(alpha, beta) unless `gamma` forces it, then the a and b
+    indices, in that order, from one generator."""
+    pa = check_cloud(a_points)
+    pb = check_cloud(b_points)
+    n = len(pa)
+    if len(pb) != n:
+        raise DataFormatError(f"cloud sizes differ ({n} vs {len(pb)})")
+    rng = as_rng(seed)
     g = rng.beta(alpha, beta) if gamma is None else float(gamma)
     if not 0.0 <= g <= 1.0:
         raise DataFormatError("mix coefficient must lie in [0, 1]")
     m = int(round(g * n))
-    return m, m / n
+    idx_a = rng.choice(n, size=m, replace=False)
+    idx_b = rng.choice(n, size=n - m, replace=False)
+    return np.concatenate([pa[idx_a], pb[idx_b]], axis=0), idx_a, idx_b, m / n
 
 
 def mixup_classify(
@@ -51,18 +63,9 @@ def mixup_classify(
     `gamma` forces the mix coefficient instead of drawing it (used by tests
     and the degenerate all-a / all-b cases).
     """
-    pa = check_cloud(a.points)
-    pb = check_cloud(b.points)
-    n = len(pa)
-    if len(pb) != n:
-        raise DataFormatError(f"cloud sizes differ ({n} vs {len(pb)})")
     if not (0 <= a.label < num_classes and 0 <= b.label < num_classes):
         raise DataFormatError("labels out of range for num_classes")
-    rng = as_rng(seed)
-    m, realized = _draw_counts(n, alpha, beta, rng, gamma)
-    idx_a = rng.choice(n, size=m, replace=False)
-    idx_b = rng.choice(n, size=n - m, replace=False)
-    points = np.concatenate([pa[idx_a], pb[idx_b]], axis=0)
+    points, _, _, realized = _mix(a.points, b.points, alpha, beta, seed, gamma)
     label = np.zeros(num_classes)
     label[a.label] += realized
     label[b.label] += 1.0 - realized
@@ -79,15 +82,6 @@ def mixup_segment(
 ) -> MixedSample:
     """Mix two per-point-labeled clouds; each sampled point migrates with
     its own label."""
-    pa = check_cloud(a.points)
-    pb = check_cloud(b.points)
-    n = len(pa)
-    if len(pb) != n:
-        raise DataFormatError(f"cloud sizes differ ({n} vs {len(pb)})")
-    rng = as_rng(seed)
-    m, realized = _draw_counts(n, alpha, beta, rng, gamma)
-    idx_a = rng.choice(n, size=m, replace=False)
-    idx_b = rng.choice(n, size=n - m, replace=False)
-    points = np.concatenate([pa[idx_a], pb[idx_b]], axis=0)
+    points, idx_a, idx_b, realized = _mix(a.points, b.points, alpha, beta, seed, gamma)
     labels = np.concatenate([a.labels[idx_a], b.labels[idx_b]])
     return MixedSample(points=points, gamma=realized, point_labels=labels)

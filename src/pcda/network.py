@@ -129,11 +129,9 @@ def param_dtype(params: dict):
 
 def _as_batch(clouds, dtype):
     arr = np.ascontiguousarray(np.asarray(clouds), dtype=dtype)
-    if arr.ndim == 2 and arr.shape[1] == 3:
-        return arr[None], True
     if arr.ndim != 3 or arr.shape[2] != 3:
-        raise DataFormatError(f"expected (n, 3) or (B, n, 3) clouds, got {arr.shape}")
-    return arr, False
+        raise DataFormatError(f"expected (B, n, 3) clouds, got {arr.shape}")
+    return arr
 
 
 def _dropout_in_place(rng, z):
@@ -239,7 +237,7 @@ def _encode_pool(params, batch, keep=()):
 def point_features(params: dict, clouds, layer: int) -> np.ndarray:
     """Eval-mode activations of encoder layer `layer` (1-5) for (B, n, 3)
     clouds, as float64 (B, n, width); the layers above it are not run."""
-    batch, _ = _as_batch(clouds, param_dtype(params))
+    batch = _as_batch(clouds, param_dtype(params))
     B, n, _ = batch.shape
     acts = _encode(params, batch.reshape(B * n, 3), layer)
     return np.asarray(acts[-1].reshape(B, n, -1), dtype=np.float64)
@@ -249,7 +247,7 @@ def _forward(params, clouds, heads, drop_rng, trace: bool):
     """(outputs, trace or None) of forward_pass and infer. Without a trace
     the encoder keeps only the layer-4 rows a per-point head reads, and the
     heads keep no activations."""
-    batch, single = _as_batch(clouds, param_dtype(params))
+    batch = _as_batch(clouds, param_dtype(params))
     B, n, _ = batch.shape
     if n < 1:
         raise DataFormatError("clouds must contain at least one point")
@@ -264,7 +262,7 @@ def _forward(params, clouds, heads, drop_rng, trace: bool):
         keep = (4,) if "seg" in heads else ()
     g, argmax, acts = _encode_pool(params, batch, keep)
 
-    outputs = {"global": g[0] if single else g}
+    outputs = {"global": g}
     caches = {}
     for head in heads:
         out, caches[head] = _head_forward(
@@ -273,14 +271,13 @@ def _forward(params, clouds, heads, drop_rng, trace: bool):
         )
         if head != "sup":
             out = out.reshape(B, n, -1)
-        outputs[HEAD_OUTPUTS[head]] = out[0] if single else out
+        outputs[HEAD_OUTPUTS[head]] = out
     if not trace:
         return outputs, None
     return outputs, {
         "params_ref": params,
         "B": B,
         "n": n,
-        "single": single,
         "x": batch.reshape(B * n, 3),
         "acts": [acts[i] for i in keep],
         "global": g,
@@ -298,8 +295,8 @@ def forward_pass(
 ):
     """Run the encoder and the requested heads.
 
-    `clouds` is (n, 3) or (B, n, 3); `heads` is a subset of the sup and
-    seg heads that the parameters hold. Returns (outputs, trace): outputs
+    `clouds` is (B, n, 3); `heads` is a subset of the sup and seg heads
+    that the parameters hold. Returns (outputs, trace): outputs
     maps "global" plus one key per requested head ("logits", "seg_logits");
     trace carries every cached activation needed by backward(). Raises
     DataFormatError for another head and NumericalError if activations go
@@ -447,14 +444,14 @@ def _encoder_backward(params, trace, dg, grads, rows, da4):
 def backward(params: dict, trace: dict, dlogits=None, dseg_logits=None) -> dict:
     """Exact gradients of a scalar loss given its gradients at head outputs.
 
-    Upstream gradients match the shapes returned by forward_pass (batched or
-    single). Heads without an upstream gradient contribute zero; encoder
-    gradients route through max-pool argmax, dropout masks, and ReLU gates.
+    Upstream gradients match the shapes returned by forward_pass. Heads
+    without an upstream gradient contribute zero; encoder gradients route
+    through max-pool argmax, dropout masks, and ReLU gates.
     """
     if trace.get("params_ref") is not params:
         raise DataFormatError("trace does not belong to these params")
     dtype = param_dtype(params)
-    B, n, single = trace["B"], trace["n"], trace["single"]
+    B, n = trace["B"], trace["n"]
     grads = zeros_like_params(params)
     dg = np.zeros((B, GLOBAL_DIM), dtype=dtype)
     # sup sends no layer-4 gradient outside the argmax rows, seg one to every row
@@ -466,8 +463,6 @@ def backward(params: dict, trace: dict, dlogits=None, dseg_logits=None) -> dict:
         if head not in trace:
             raise DataFormatError(f"no {head} head in trace")
         d = np.asarray(d, dtype=dtype)
-        if single:
-            d = d[None]
         if head == "seg":
             d = d.reshape(B * n, -1)
         dgh, da4h = _head_backward(params, head, trace[head], d, trace["global"], grads)
@@ -541,9 +536,6 @@ def reconstruction_loss_and_grads(
     """
     _, trace = forward_pass(params, deformed, heads=())
     B, n = trace["B"], trace["n"]
-    if trace["single"]:
-        originals = np.asarray(originals)[None]
-        regions = [regions] if isinstance(regions, np.ndarray) else regions
     if len(originals) != B or len(regions) != B:
         raise DataFormatError("originals/regions batch size mismatch")
     sorted_regions = [np.sort(check_region(r, n)) for r in regions]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cloud import as_rng, jitter, rotate_z
 from .dataio import Dataset, read_tensors, save_tensors
-from .deform import FEATURE_KINDS, DeformSpec, apply_deformation
+from .deform import FEATURE_KINDS, DeformSpec, apply_deformation, drawn_spec
 from .errors import DataFormatError, NumericalError
 from .evaluation import mean_iou
 from .mixup import mixup_classify, mixup_segment
@@ -188,6 +188,8 @@ def _eval_batches(params, points, batch_size, heads, key):
     if batch_size < 1:
         raise DataFormatError(f"batch size must be positive, got {batch_size}")
     pts = np.asarray(points, dtype=np.float64)
+    if len(pts) == 0:
+        raise DataFormatError("no clouds to run the network on")
     return np.concatenate(
         [
             infer(params, pts[lo : lo + batch_size], heads=heads)[key]
@@ -359,19 +361,25 @@ def _augment(points, cfg: TrainConfig, seed):
 
 def _reconstruction_loss_and_grads(params, clouds, cfg, epoch, step, tag):
     """Deform every cloud in the batch and reconstruct it: the unweighted
-    region Chamfer loss and ssl_weight-scaled gradients."""
-    spec = cfg.deform
-    feats = point_features(params, clouds, spec.layer) if spec.kind in FEATURE_KINDS else None
-    pairs = [
-        apply_deformation(
-            cloud,
-            spec,
-            seed=_seed(cfg.seed, STREAM_EPOCH, epoch, tag, step, j),
-            features=None if feats is None else feats[j],
-        )
-        for j, cloud in enumerate(clouds)
+    region Chamfer loss and ssl_weight-scaled gradients.
+
+    Each cloud's spec (the family of a mixed spec) is drawn first from the
+    cloud's own generator, so the encoder feature pass runs only on the
+    clouds that select by feature; deforming with that spec and generator
+    makes the draws of apply_deformation(cloud, cfg.deform)."""
+    rngs = [
+        as_rng(_seed(cfg.seed, STREAM_EPOCH, epoch, tag, step, j)) for j in range(len(clouds))
     ]
-    del feats  # float64 (B, n, width): not to be held through the reconstruction
+    specs = [drawn_spec(cfg.deform, rng) for rng in rngs]
+    on_feats = [j for j, spec in enumerate(specs) if spec.kind == "feature"]
+    feats = {}
+    if on_feats:
+        feats = dict(zip(on_feats, point_features(params, clouds[on_feats], cfg.deform.layer)))
+    pairs = [
+        apply_deformation(cloud, spec, seed=rng, features=feats.get(j))
+        for j, (cloud, spec, rng) in enumerate(zip(clouds, specs, rngs))
+    ]
+    del feats  # float64 (clouds, n, width): not to be held through the reconstruction
     return reconstruction_loss_and_grads(
         params,
         np.stack([p.deformed for p in pairs]),
@@ -474,6 +482,20 @@ def _kept_metrics(path: str, start_epoch: int) -> list:
                 raise DataFormatError(f"{path}: line {epoch + 1} is not epoch {epoch}'s record")
             kept.append(record)
     return kept
+
+
+def _release_freed_memory():
+    """Hand the heap's free pages back to the OS (glibc's malloc_trim; a
+    no-op where the C library has none). The steps of a training run free a
+    working set larger than what the run keeps, and the heap would otherwise
+    hold part of it resident after train returns: how much differs from one
+    process to the next, with where the free blocks happen to lie."""
+    import ctypes  # on first use: importing pcda stays numpy-only
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 def train(
@@ -642,6 +664,7 @@ def train(
         for path in (best_path, last_path) if is_best else (last_path,):
             save_checkpoint(path, params, best_params, adam, meta)
 
+    _release_freed_memory()
     return TrainResult(
         params=params,
         best_params=best_params,

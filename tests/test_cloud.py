@@ -173,13 +173,6 @@ class TestNeighborIndex:
         brute = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert np.array_equal(idx, brute)
 
-    def test_radius_query_matches_brute_force(self):
-        pts = make_cloud(5, 50)
-        center = np.zeros(3)
-        got = NeighborIndex(pts).radius(center, 1.0)
-        want = np.flatnonzero((pts**2).sum(axis=1) <= 1.0)
-        assert np.array_equal(got, want)
-
     def test_single_query_shape(self):
         pts = make_cloud(1, 10)
         assert NeighborIndex(pts).knn(pts[0], 3).shape == (3,)

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcda.deform
 from pcda.deform import (
     FAMILIES,
     KINDS,
     MIXED_KINDS,
     DeformSpec,
     apply_deformation,
-    deform_feature_knn,
-    deform_sample,
-    deform_sphere,
-    deform_voxel,
+    drawn_spec,
     pick_mixed_family,
     sample_region,
 )
@@ -66,7 +64,7 @@ def test_variant_deterministic(spec):
 class TestVoxel:
     def test_region_is_one_grid_cell(self):
         pts = make_cloud(1, 100)
-        pair = deform_voxel(pts, k=3, seed=5)
+        pair = apply_deformation(pts, DeformSpec(kind="voxel", k=3), seed=5)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         cells = np.minimum(((pts - lo) / (hi - lo) * 3).astype(int), 2)
         flat = cells[:, 0] * 9 + cells[:, 1] * 3 + cells[:, 2]
@@ -76,13 +74,13 @@ class TestVoxel:
 
     def test_relocation_centers_on_cell(self):
         pts = make_cloud(2, 400)
-        pair = deform_voxel(pts, k=2, relocate_sigma=0.01, seed=3)
+        pair = apply_deformation(pts, DeformSpec(kind="voxel", k=2, relocate_sigma=0.01), seed=3)
         moved = pair.deformed[pair.region]
         assert np.abs(moved.mean(axis=0) - pair.region_center).max() < 0.05
 
     def test_zero_sigma_relocates_exactly_to_center(self):
         pts = make_cloud(3, 50)
-        pair = deform_voxel(pts, k=3, relocate_sigma=0.0, seed=1)
+        pair = apply_deformation(pts, DeformSpec(kind="voxel", k=3, relocate_sigma=0.0), seed=1)
         assert np.allclose(pair.deformed[pair.region], pair.region_center)
 
 
@@ -91,13 +89,13 @@ class TestSphere:
     @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.0))
     def test_region_is_exactly_the_ball(self, seed, radius):
         pts = make_cloud(seed, 80)
-        pair = deform_sphere(pts, radius=radius, seed=seed)
+        pair = apply_deformation(pts, DeformSpec(kind="sphere", radius=radius), seed=seed)
         d2 = ((pts - pair.region_center) ** 2).sum(axis=1)
         assert np.array_equal(pair.region, np.flatnonzero(d2 <= radius * radius))
 
     def test_center_is_a_data_point(self):
         pts = make_cloud(0, 30)
-        pair = deform_sphere(pts, radius=0.3, seed=9)
+        pair = apply_deformation(pts, DeformSpec(kind="sphere", radius=0.3), seed=9)
         assert any(np.array_equal(pair.region_center, p) for p in pts)
 
 
@@ -105,13 +103,13 @@ class TestFeatureKnn:
     def test_region_size_exact_and_contains_anchor(self):
         pts = make_cloud(4, 60)
         feats = make_cloud(5, 60)
-        pair = deform_feature_knn(pts, feats, k_pts=10, seed=2)
+        pair = apply_deformation(pts, DeformSpec(kind="feature", k_pts=10), seed=2, features=feats)
         assert len(pair.region) == 10
 
     def test_region_is_feature_space_knn(self):
         pts = make_cloud(6, 40)
         feats = np.random.default_rng(7).normal(size=(40, 8))
-        pair = deform_feature_knn(pts, feats, k_pts=7, seed=11)
+        pair = apply_deformation(pts, DeformSpec(kind="feature", k_pts=7), seed=11, features=feats)
         # recover the anchor: its feature kNN set must equal the region
         found = False
         for anchor in pair.region:
@@ -124,20 +122,23 @@ class TestFeatureKnn:
 
     def test_relocates_to_origin(self):
         pts = make_cloud(8, 50) + 5.0
-        pair = deform_feature_knn(pts, pts, k_pts=12, relocate_sigma=0.0, seed=0)
+        spec = DeformSpec(kind="feature", k_pts=12, relocate_sigma=0.0)
+        pair = apply_deformation(pts, spec, seed=0)
         assert np.allclose(pair.deformed[pair.region], 0.0)
         assert np.allclose(pair.region_center, 0.0)
 
     def test_bad_k_rejected(self):
         pts = make_cloud(0, 10)
         with pytest.raises(DataFormatError):
-            deform_feature_knn(pts, pts, k_pts=10)
+            apply_deformation(pts, DeformSpec(kind="feature", k_pts=10))
         with pytest.raises(DataFormatError):
-            deform_feature_knn(pts, pts, k_pts=0)
+            DeformSpec(kind="feature", k_pts=0)
 
     def test_feature_length_mismatch_rejected(self):
         with pytest.raises(DataFormatError):
-            deform_feature_knn(make_cloud(0, 10), make_cloud(0, 9), k_pts=3)
+            apply_deformation(
+                make_cloud(0, 10), DeformSpec(kind="feature", k_pts=3), features=make_cloud(0, 9)
+            )
 
 
 class TestSampleSchemes:
@@ -158,15 +159,10 @@ class TestSampleSchemes:
         with pytest.raises(DataFormatError):
             sample_region(make_cloud(0, 20), "split", cap_fraction=0.0)
 
-    def test_lambertian_rejects_mismatched_normals(self):
-        pts = make_cloud(0, 20)
-        with pytest.raises(DataFormatError):
-            sample_region(pts, "lambertian", normals=np.zeros((19, 3)))
-
-    def test_lambertian_all_zero_normals_degenerate(self):
-        pts = make_cloud(0, 20)
+    def test_lambertian_all_zero_normals_degenerate(self, monkeypatch):
+        monkeypatch.setattr(pcda.deform, "estimate_normals", lambda pts, k: np.zeros_like(pts))
         with pytest.raises(NumericalError):
-            sample_region(pts, "lambertian", seed=0, normals=np.zeros((20, 3)))
+            sample_region(make_cloud(0, 20), "lambertian", seed=0)
 
     def test_gradient_favors_high_end_of_longest_axis(self):
         # cloud stretched along x: selection frequency should grow with x
@@ -189,7 +185,7 @@ class TestSampleSchemes:
 
     def test_deform_sample_region_at_origin(self):
         pts = make_cloud(10, 64) + 3.0
-        pair = deform_sample(pts, "split", relocate_sigma=0.0, seed=6)
+        pair = apply_deformation(pts, DeformSpec(kind="split", relocate_sigma=0.0), seed=6)
         assert np.allclose(pair.deformed[pair.region], 0.0)
 
 
@@ -226,17 +222,32 @@ class TestMixed:
             assert (pair.deformed[pair.region] == pair.region_center).all()
             if kind == "feature":
                 assert len(pair.region) == 9
-                want = deform_feature_knn(pts, pts, k_pts=9, relocate_sigma=0.0, seed=rng)
+                family = DeformSpec(kind="feature", k_pts=9, relocate_sigma=0.0)
             elif kind == "voxel":
-                want = deform_voxel(pts, k=2, relocate_sigma=0.0, seed=rng)
+                family = DeformSpec(kind="voxel", k=2, relocate_sigma=0.0)
             else:
                 assert len(pair.region) <= int(np.ceil(0.25 * 48))
-                want = deform_sample(
-                    pts, "split", sample_cap_fraction=0.25, relocate_sigma=0.0, seed=rng
-                )
+                family = DeformSpec(kind="split", sample_cap_fraction=0.25, relocate_sigma=0.0)
+            want = apply_deformation(pts, family, seed=rng)
             assert np.array_equal(pair.region, want.region)
             assert np.array_equal(pair.deformed, want.deformed)
         assert seen == {"voxel", "feature", "split"}
+
+    def test_drawn_spec_then_deform_makes_the_mixed_draws(self):
+        spec = DeformSpec(kind="mixed", k=2, k_pts=9)
+        pts = make_cloud(13, 48)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            drawn = drawn_spec(spec, rng)
+            assert drawn == DeformSpec(kind=self.drawn_kind(seed)[0], k=2, k_pts=9)
+            got = apply_deformation(pts, drawn, seed=rng)
+            want = apply_deformation(pts, spec, seed=seed)
+            assert got.kind == want.kind == drawn.kind
+            assert np.array_equal(got.region, want.region)
+            assert np.array_equal(got.deformed, want.deformed)
+            assert np.array_equal(got.region_center, want.region_center)
+        sphere = DeformSpec(kind="sphere")
+        assert drawn_spec(sphere, np.random.default_rng(0)) is sphere
 
     def test_mixed_defaults_draw_the_family_defaults(self):
         defaults = {

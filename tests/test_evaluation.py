@@ -9,7 +9,6 @@ from pcda.errors import DataFormatError, NumericalError
 from pcda.evaluation import (
     GAUSS_REG,
     ClassGaussians,
-    accuracy,
     fit_class_gaussians,
     gaussian_log_density,
     log_perplexity,
@@ -29,9 +28,6 @@ def make_features(seed, n=60, d=4, num_classes=3):
 
 
 class TestMetrics:
-    def test_accuracy_hand_case(self):
-        assert accuracy([0, 1, 2, 1], [0, 1, 1, 1]) == pytest.approx(0.75)
-
     def test_mean_iou_hand_case(self):
         # part 0: intersection 2, union 4; part 1: intersection 1, union 3
         pred = np.array([0, 0, 0, 1, 1])
@@ -46,7 +42,6 @@ class TestMetrics:
 
     def test_perfect_prediction(self):
         labels = np.array([0, 1, 2, 3, 2, 1])
-        assert accuracy(labels, labels) == 1.0
         assert mean_iou(labels, labels, num_parts=4) == 1.0
 
 

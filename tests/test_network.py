@@ -25,6 +25,7 @@ from pcda.network import (
     backward,
     classification_loss_and_grads,
     forward_pass,
+    infer,
     init_params,
     param_dtype,
     point_features,
@@ -107,37 +108,44 @@ class TestForward:
         assert out["global"].shape == (4, GLOBAL_DIM)
         assert out["logits"].shape == (4, 3)
 
-    def test_output_shapes_single(self, params_cls):
-        out, _ = forward_pass(params_cls, make_cloud(0, 20), heads=("sup",))
-        assert out["global"].shape == (GLOBAL_DIM,)
-        assert out["logits"].shape == (3,)
+    def test_single_cloud_refused(self, params_cls):
+        # one cloud goes in as a batch of one, (1, n, 3)
+        cloud = make_cloud(0, 20)
+        for run in (
+            lambda: forward_pass(params_cls, cloud, heads=("sup",)),
+            lambda: infer(params_cls, cloud),
+            lambda: point_features(params_cls, cloud, 3),
+            lambda: reconstruction_loss_and_grads(params_cls, cloud, cloud, np.arange(4)),
+        ):
+            with pytest.raises(DataFormatError, match=r"\(B, n, 3\)"):
+                run()
 
     def test_seg_output_shape(self, params_seg):
-        out, _ = forward_pass(params_seg, make_cloud(0, 15), heads=("seg",))
-        assert out["seg_logits"].shape == (15, 4)
+        out, _ = forward_pass(params_seg, make_cloud(0, 15)[None], heads=("seg",))
+        assert out["seg_logits"].shape == (1, 15, 4)
 
     def test_permutation_invariant_global_feature(self, params_cls):
-        pts = make_cloud(1, 30)
+        pts = make_cloud(1, 30)[None]
         perm = np.random.default_rng(0).permutation(30)
         a, _ = forward_pass(params_cls, pts, heads=("sup",))
-        b, _ = forward_pass(params_cls, pts[perm], heads=("sup",))
+        b, _ = forward_pass(params_cls, pts[:, perm], heads=("sup",))
         assert np.array_equal(a["global"], b["global"])
         assert np.array_equal(a["logits"], b["logits"])
 
     def test_global_is_max_over_points(self, params_cls):
-        pts = make_cloud(2, 25)
+        pts = make_cloud(2, 25)[None]
         out, _ = forward_pass(params_cls, pts, heads=())
         per_point = point_features(params_cls, pts, 5).reshape(25, GLOBAL_DIM)
-        assert np.array_equal(out["global"], per_point.max(axis=0))
+        assert np.array_equal(out["global"][0], per_point.max(axis=0))
 
     def test_eval_mode_deterministic(self, params_cls):
-        pts = make_cloud(3, 16)
+        pts = make_cloud(3, 16)[None]
         a, _ = forward_pass(params_cls, pts, heads=("sup",))
         b, _ = forward_pass(params_cls, pts, heads=("sup",))
         assert np.array_equal(a["logits"], b["logits"])
 
     def test_train_dropout_seeded(self, params_cls):
-        pts = make_cloud(4, 16)
+        pts = make_cloud(4, 16)[None]
         a, _ = forward_pass(params_cls, pts, mode="train", heads=("sup",), dropout_seed=1)
         b, _ = forward_pass(params_cls, pts, mode="train", heads=("sup",), dropout_seed=1)
         c, _ = forward_pass(params_cls, pts, mode="train", heads=("sup",), dropout_seed=2)
@@ -146,7 +154,7 @@ class TestForward:
 
     def test_dropout_off_in_eval(self, params_cls):
         # eval logits do not depend on any dropout seed
-        pts = make_cloud(5, 16)
+        pts = make_cloud(5, 16)[None]
         a, _ = forward_pass(params_cls, pts, heads=("sup",), dropout_seed=1)
         b, _ = forward_pass(params_cls, pts, heads=("sup",), dropout_seed=99)
         assert np.array_equal(a["logits"], b["logits"])
@@ -216,16 +224,16 @@ class TestForward:
         with pytest.raises(DataFormatError):
             forward_pass(params_cls, np.zeros((2, 4, 2)))
         with pytest.raises(DataFormatError):
-            forward_pass(params_cls, make_cloud(0, 8), mode="sometimes")
+            forward_pass(params_cls, make_cloud(0, 8)[None], mode="sometimes")
         with pytest.raises(DataFormatError):
-            forward_pass(params_cls, make_cloud(0, 8), heads=("nope",))
+            forward_pass(params_cls, make_cloud(0, 8)[None], heads=("nope",))
 
     @pytest.mark.parametrize("entry", ["forward_pass", "infer"])
     def test_bad_heads_rejected(self, params_cls, params_seg, entry):
         # an unknown head (rec among them: it runs only inside the
         # reconstruction loss), or a head the parameters do not hold
         run = getattr(network, entry)
-        cloud = make_cloud(0, 8)
+        cloud = make_cloud(0, 8)[None]
         for params, head in (
             (params_cls, "nope"), (params_cls, "rec"), (params_cls, "seg"), (params_seg, "sup"),
         ):
@@ -238,12 +246,12 @@ class TestForward:
         blown["enc1_w"] = params_cls["enc1_w"] * 1e200
         blown["enc2_w"] = params_cls["enc2_w"] * 1e200
         with pytest.raises(NumericalError):
-            forward_pass(blown, make_cloud(0, 8), heads=("sup",))
+            forward_pass(blown, make_cloud(0, 8)[None], heads=("sup",))
 
     def test_dtype_follows_params(self):
         params32 = init_params(3, seed=0, dtype=np.float32)
         assert param_dtype(params32) == np.float32
-        out, _ = forward_pass(params32, make_cloud(0, 8), heads=("sup",))
+        out, _ = forward_pass(params32, make_cloud(0, 8)[None], heads=("sup",))
         assert out["logits"].dtype == np.float32
 
 
@@ -265,7 +273,7 @@ def pool_case(case, dtype):
     params["enc5_b"] = rng.normal(0.0, 0.3, GLOBAL_DIM).astype(dtype)
     params["enc5_b"][:8] = -5.0
     if case == "ties":
-        clouds, _ = pin_clouds("ties")
+        clouds = pin_clouds("ties")
     else:  # a ragged row count: above 192 and not a multiple of 8
         clouds = rng.uniform(-0.5, 0.5, size=(2, 300, 3))
     return params, np.asarray(clouds, dtype=dtype)
@@ -410,8 +418,6 @@ def dense_composite(params, clouds, soft, originals, regions, weight, dropout_se
     out, trace = forward_pass(
         params, clouds, mode="train", heads=("sup",), dropout_seed=dropout_seed
     )
-    if trace["single"]:
-        originals, regions = originals[None], [regions]
     ce, dlogits = softmax_cross_entropy(out["logits"], soft)
     recon, cache = dense_rec(params, trace)
     rec_loss, drecon = dense_region_chamfer(recon, originals, regions, weight)
@@ -423,18 +429,16 @@ def dense_composite(params, clouds, soft, originals, regions, weight, dropout_se
 
 
 def pin_clouds(case):
-    """Inputs of the sparse-vs-dense pin: (clouds, batched)."""
+    """Inputs of the sparse-vs-dense pin: (B, n, 3) clouds."""
     rng = np.random.default_rng(7)
-    if case == "single":
-        return rng.uniform(-0.5, 0.5, size=(30, 3)), False
     if case == "b1":
-        return rng.uniform(-0.5, 0.5, size=(1, 30, 3)), True
+        return rng.uniform(-0.5, 0.5, size=(1, 30, 3))
     # repeated points tie activations; one all-equal cloud ties every row
     # and leaves dead (all-zero) columns
     clouds = rng.uniform(-0.5, 0.5, size=(4, 40, 3))
     clouds[:, 20:] = clouds[:, :20]
     clouds[1] = clouds[1, 0]
-    return clouds, True
+    return clouds
 
 
 def walk_arrays(obj):
@@ -450,7 +454,7 @@ def walk_arrays(obj):
 
 class TestBackward:
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("case", ["ties", "single", "b1"])
+    @pytest.mark.parametrize("case", ["ties", "b1"])
     @pytest.mark.parametrize("heads", [("sup",), ("rec",), ("seg",), ("sup", "rec")])
     def test_sparse_matches_dense_reference(self, dtype, tol, case, heads):
         # ("rec",) is reconstruction_loss_and_grads, the region-sparse rec
@@ -460,7 +464,7 @@ class TestBackward:
         # heads
         task = "segmentation" if "seg" in heads else "classification"
         params = init_params(3, task=task, seed=5, dtype=dtype)
-        clouds, batched = pin_clouds(case)
+        clouds = pin_clouds(case)
         rng = np.random.default_rng(3)
         if case == "ties":
             a5 = point_features(params, clouds, 5)
@@ -471,7 +475,7 @@ class TestBackward:
             originals = rng.uniform(-0.5, 0.5, size=clouds.shape)
             n = clouds.shape[-2]
             regions = [np.sort(rng.choice(n, size=k, replace=False)) for k in (1, 9, n, 4)]
-            regions = regions[: len(clouds)] if batched else regions[1]
+            regions = regions[: len(clouds)]
             if "sup" in heads:
                 args = (params, clouds, soft, originals, regions, 0.5, 2)
                 loss, got = composite_loss_and_grads(*args)
@@ -505,7 +509,7 @@ class TestBackward:
         # the sparse layer-5 backward of a sup-only or a seg pass, on a batch
         # with tied rows and channels dead in some clouds
         params = init_params(3, task=task, seed=5)
-        clouds, _ = pin_clouds("ties")
+        clouds = pin_clouds("ties")
         rng = np.random.default_rng(4)
         if task == "classification":
             loss_and_grads = classification_loss_and_grads
@@ -600,10 +604,10 @@ class TestBackward:
             assert arr.size != B * n * GLOBAL_DIM, f"a {arr.shape} array in the trace"
 
     def test_trace_params_mismatch_rejected(self, params_cls):
-        _, trace = forward_pass(params_cls, make_cloud(0, 8), heads=("sup",))
+        _, trace = forward_pass(params_cls, make_cloud(0, 8)[None], heads=("sup",))
         other = init_params(3, seed=1)
         with pytest.raises(DataFormatError):
-            backward(other, trace, dlogits=np.zeros(3))
+            backward(other, trace, dlogits=np.zeros((1, 3)))
 
     def test_grads_cover_all_params(self, params_cls):
         pts = np.stack([make_cloud(i, 12) for i in range(2)])
@@ -627,8 +631,6 @@ def dense_reconstruction(params, deformed, originals, regions, weight):
     dense_backward above."""
     _, trace = forward_pass(params, deformed, heads=())
     recon, cache = dense_rec(params, trace)
-    if trace["single"]:
-        originals, regions = np.asarray(originals)[None], [regions]
     loss, drecon = dense_region_chamfer(recon, originals, regions, weight)
     return loss, dense_backward(params, trace, {"rec": (cache, drecon)})
 
@@ -637,7 +639,7 @@ def region_case(case, params):
     """(deformed, originals, regions) of one sparse-reconstruction pin case."""
     rng = np.random.default_rng(11)
     n = 40
-    B = 1 if case in ("b1", "single") else 4
+    B = 1 if case == "b1" else 4
     clouds = rng.uniform(-0.5, 0.5, size=(B, n, 3))
     spec = {
         "feature": DeformSpec(kind="feature", k_pts=7),
@@ -653,13 +655,11 @@ def region_case(case, params):
         regions = [np.array([5]), rng.permutation(n), regions[2], np.array([n - 1, 0])]
     if case == "whole":  # the union of rows is every point
         regions = [rng.permutation(n) for _ in range(B)]
-    if case == "single":
-        return deformed[0], clouds[0], regions[0]
     return deformed, clouds, regions
 
 
 class TestSparseReconstruction:
-    CASES = ["voxel", "feature", "split", "sizes", "whole", "b1", "single"]
+    CASES = ["voxel", "feature", "split", "sizes", "whole", "b1"]
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("case", CASES)
@@ -731,7 +731,7 @@ class TestSparseReconstruction:
         # (broadcast over equal row blocks, reshape-sum backward); the
         # reconstruction loss passes row indices (gather, segment sum)
         params = init_params(4, "segmentation", seed=2, dtype=dtype)
-        _, trace = forward_pass(params, pin_clouds("batch")[0], heads=())
+        _, trace = forward_pass(params, pin_clouds("batch"), heads=())
         B, n = trace["B"], trace["n"]
         g, a4 = trace["global"], trace["acts"][3]
         cloud = np.repeat(np.arange(B), n)
@@ -845,7 +845,7 @@ class TestLosses:
 
     def test_label_shape_mismatch_rejected(self, params_seg):
         with pytest.raises(DataFormatError):
-            segmentation_loss_and_grads(params_seg, make_cloud(0, 10), np.zeros(9))
+            segmentation_loss_and_grads(params_seg, make_cloud(0, 10)[None], np.zeros((1, 9)))
 
 
 class TestGradientOracle:

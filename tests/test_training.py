@@ -10,16 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcda import training
 from pcda.cloud import LabeledCloud, SegLabeledCloud
 from pcda.dataio import Dataset, load_tensors, read_tensors, save_tensors
-from pcda.deform import DeformSpec
+from pcda.deform import DeformSpec, apply_deformation
 from pcda.errors import DataFormatError
-from pcda.network import HEAD_OUTPUTS, forward_pass, init_params
+from pcda.network import (
+    HEAD_OUTPUTS,
+    forward_pass,
+    init_params,
+    point_features,
+    reconstruction_loss_and_grads,
+)
 from pcda.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_CHUNK,
     ADAM_EPS,
+    DTYPES,
+    STREAM_EPOCH,
     AdamState,
     TrainConfig,
     adam_step,
@@ -243,6 +252,12 @@ class TestEvaluate:
         want = extract_global_features(params, clouds, batch_size=32)
         for batch_size in (1, 2, 4, 9):
             assert np.array_equal(extract_global_features(params, clouds, batch_size), want)
+
+    def test_zero_clouds_rejected(self):
+        params = init_params(3, seed=0)
+        for run in (predict_logits, extract_global_features):
+            with pytest.raises(DataFormatError, match="no clouds"):
+                run(params, np.zeros((0, 8, 3)))
 
     def test_predict_logits_rejects_bad_heads(self):
         # an unknown head (rec among them), or one the parameters do not hold
@@ -583,6 +598,22 @@ class TestTrainLoop:
             tmp_path / "f2" / "last.ckpt"
         ).read_bytes()
 
+    def test_freed_memory_released_once_after_the_last_checkpoint(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "r"
+        seen = []
+        monkeypatch.setattr(
+            training, "_release_freed_memory", lambda: seen.append(sorted(os.listdir(run_dir)))
+        )
+        train(tiny_cls_dataset(0), tiny_cls_dataset(1), tiny_config(epochs=2), str(run_dir))
+        assert seen == [["best.ckpt", "config.json", "last.ckpt", "metrics.jsonl"]]
+        assert len((run_dir / "metrics.jsonl").read_text().splitlines()) == 2
+
+    def test_release_without_malloc_trim_is_a_no_op(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        training._release_freed_memory()
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
@@ -656,6 +687,51 @@ class TestRejectBeforeRunDir:
         cfg = tiny_config(epochs=1, deform=DeformSpec(kind="mixed", k_pts=5))
         res = train(src, tgt, cfg, str(tmp_path / "mixed"))
         assert res.metrics[0]["ssl_loss"] is not None
+
+
+class TestReconstructionStep:
+    @staticmethod
+    def every_cloud_reference(params, clouds, cfg, epoch, step, tag):
+        """The step's pairs, loss and gradients with the feature pass run on
+        the whole batch and every cloud deformed by the mixed spec itself."""
+        feats = point_features(params, clouds, cfg.deform.layer)
+        pairs = [
+            apply_deformation(
+                cloud,
+                cfg.deform,
+                seed=training._seed(cfg.seed, STREAM_EPOCH, epoch, tag, step, j),
+                features=feats[j],
+            )
+            for j, cloud in enumerate(clouds)
+        ]
+        deformed = np.stack([p.deformed for p in pairs])
+        regions = [p.region for p in pairs]
+        return pairs, reconstruction_loss_and_grads(
+            params, deformed, clouds, regions, weight=cfg.ssl_weight
+        )
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_mixed_runs_the_feature_pass_on_feature_clouds_only(self, monkeypatch, dtype):
+        cfg = tiny_config(deform=DeformSpec(kind="mixed", k=2, k_pts=9, layer=4), dtype=dtype)
+        params = init_params(3, seed=1, dtype=DTYPES[dtype])
+        clouds = np.random.default_rng(2).uniform(-0.5, 0.5, size=(12, 37, 3))
+        args = (params, clouds, cfg, 1, 2, training._TGT_DEF)
+        pairs, (want_loss, want) = self.every_cloud_reference(*args)
+        on_feats = [j for j, p in enumerate(pairs) if p.kind == "feature"]
+        assert 0 < len(on_feats) < len(clouds)
+        seen = []
+
+        def recording(params, clouds, layer):
+            seen.append(clouds.copy())
+            return point_features(params, clouds, layer)
+
+        monkeypatch.setattr(training, "point_features", recording)
+        loss, got = training._reconstruction_loss_and_grads(*args)
+        assert len(seen) == 1 and np.array_equal(seen[0], clouds[on_feats])
+        assert loss == want_loss
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].dtype == want[k].dtype and np.array_equal(got[k], want[k]), k
 
 
 def _structure_bytes(tensors: dict, meta: dict) -> list:
